@@ -14,7 +14,7 @@ from .padic import (
     unit_part,
     valuation,
 )
-from .cyclotomic import CycloNumber, root_of_unity, to_complex_float
+from .cyclotomic import CycloNumber, root_of_unity
 from .wavelets import (
     EXACT,
     FLOAT,

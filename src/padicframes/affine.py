@@ -6,8 +6,12 @@ finite expansions it is computed exactly: an index is carried to the group
 element representing it, composed with the acting element, and the composite
 is classified by the closed-form index map for the base wavelet.  Stabilizers
 of balls, wavelets and generic expansions have closed forms in terms of two
-norm inequalities; genericity itself is certified by exhaustive enumeration
-over a finite digit quotient.
+norm inequalities.  Genericity is certified over a finite digit quotient of
+group elements, one translation class at a time: the action and the closed
+form give the same answer on every cell of a class, and only the few classes
+that carry a minimal-scale term onto a term of the function, or that meet
+the closed-form set, can be invariant or predicted, so only those are
+evaluated (see ``genericity_check``).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Optional, Union
 from .errors import (
     DepthTooSmallError,
     EmptyFunctionError,
+    InvariantError,
     PrimeMismatchError,
 )
 from .padic import (
@@ -251,7 +256,9 @@ def stabilizer_spec(f: TestFunction) -> StabilizerSpec:
     # forces |n - n'| * |1 - a| <= p**-1 for anchors at the minimal scale.
     for other in anchors[1:]:
         diff_exp = -int(rational_valuation(n_0.value - other.value, p))
-        assert diff_exp + 1 <= gamma_a
+        if diff_exp + 1 > gamma_a:
+            raise InvariantError(
+                f"anchors {n_0.value} and {other.value} give different b-balls")
     return StabilizerSpec(p, gamma_a, gamma_0, n_0)
 
 
@@ -306,14 +313,34 @@ def _translation_window(f: TestFunction) -> int:
 
 
 def genericity_check(f: TestFunction, depth: Optional[int] = None) -> GenericityVerdict:
-    """Enumerate (a, b) over the finite digit quotient and compare the exact
-    invariance set against the closed-form stabilizer set.
+    """Compare the exact invariance set against the closed-form stabilizer
+    set over the finite digit quotient.
 
-    a runs over the units modulo p**depth; b over the canonical
-    representatives modulo p**depth with enough negative digits to cover the
-    supports of f.  Translations beyond that window move every support off
-    itself and satisfy neither membership, so the comparison over the window
-    decides the quotient.
+    The quotient has one cell (a, b) for each unit a modulo p**depth and each
+    b = t * p**-w with 0 <= t < p**(depth + w), where w is the translation
+    window: translations beyond it move every support off itself and satisfy
+    neither membership.  Cells are decided a class at a time:
+
+    (i)  Answers are constant on a class.  Each term keeps its scale gamma,
+         and its target and phase depend only on y = p**gamma * b + a * n
+         modulo p Z_p.  So cells with the same a and the same t modulo p**k,
+         k = w + 1 - gamma_min, have the same image of f.  They also get the
+         same closed-form answer, whose b-ball has radius p**(gamma_0 - 1)
+         with gamma_0 = gamma_min.  The sound depth is at least
+         1 - gamma_min, so k <= depth + w.
+    (ii) Only a few classes can be invariant.  The action permutes basis
+         labels, so g f == f sends a minimal-scale term (gamma_min, n0, j0)
+         onto a term (gamma_min, n', j0 / a mod p) of f, which pins
+         t = p**(w - gamma_min) (n' - a n0) modulo p**(w - gamma_min): p
+         classes per matching term, none when that value is not an integer.
+         The closed form holds on one class at most: a = 1 mod p**gamma_a
+         and t = p**(w - gamma_0) n_0 (1 - a) modulo p**k.
+
+    One representative of each of these classes is evaluated exactly, by the
+    action and by the closed form; every other class is neither invariant
+    nor predicted.  Witness and violation classes are expanded back to their
+    cells in ascending t within each a, so the verdict, witness order
+    included, is the one a cell-by-cell comparison gives.
     """
     if f.is_zero():
         raise EmptyFunctionError("genericity needs a nonzero function")
@@ -329,26 +356,47 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
     window = _translation_window(f)
     b_count = p ** (depth + window)
     b_scale = ppow(p, -window)
+    period = p ** (window + 1 - spec.gamma_0)  # t modulo period decides a cell
+    step = period // p  # a pinned target fixes t modulo step
+    landings = [idx for idx in f.terms if idx.gamma == spec.gamma_0]
+    idx0 = landings[0]
     witnesses: list[AffineElement] = []
     violations: list[AffineElement] = []
-    quotient = 0
     for a_int in range(1, p**depth):
         if a_int % p == 0:
             continue
+        classes = set()
+        j_target = idx0.j * pow(a_int, -1, p) % p
+        for idx in landings:
+            if idx.j != j_target:
+                continue
+            t = step * (idx.n.value - a_int * idx0.n.value)
+            if t.denominator == 1:
+                classes.update(range(int(t) % step, period, step))
+        if (a_int - 1) % p**spec.gamma_a == 0:
+            t = step * spec.n_0.value * (1 - a_int)
+            if t.denominator == 1:
+                classes.add(int(t) % period)
+
         a = Fraction(a_int)
-        for t in range(b_count):
-            b = t * b_scale
-            quotient += 1
-            g = AffineElement(PadicScalar(a, ctx), PadicScalar(b, ctx))
+        fixed: list[int] = []
+        broken: list[int] = []
+        for c in classes:
+            g = AffineElement(PadicScalar(a, ctx), PadicScalar(c * b_scale, ctx))
             invariant = act_on_function(g, f) == f
             predicted = in_stabilizer(g, spec)
             if invariant and not predicted:
-                witnesses.append(g)
+                fixed.extend(range(c, b_count, period))
             elif predicted and not invariant:
-                violations.append(g)
+                broken.extend(range(c, b_count, period))
+        for ts, out in ((fixed, witnesses), (broken, violations)):
+            out.extend(
+                AffineElement(PadicScalar(a, ctx), PadicScalar(t * b_scale, ctx))
+                for t in sorted(ts))
+    units = p**depth - p ** (depth - 1)
     return GenericityVerdict(
         generic_up_to_depth=not witnesses and not violations,
         witnesses=tuple(witnesses),
         depth=depth,
-        quotient_size=quotient,
+        quotient_size=units * b_count,
         spec_violations=tuple(violations))

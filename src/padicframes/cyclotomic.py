@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import PrimeMismatchError
+from .errors import InvariantError, PrimeMismatchError
 from .padic import is_prime, parse_rational
 
 Rationalish = Union[int, Fraction]
@@ -139,7 +139,8 @@ class CycloNumber:
         for k in range(2, p):
             cofactor = cofactor * self.automorphism(k)
         field_norm = self * cofactor
-        assert field_norm.is_rational(), "field norm must be rational"
+        if not field_norm.is_rational():
+            raise InvariantError(f"field norm of {self} is not rational")
         return cofactor.scale(1 / field_norm.coeffs[0])
 
     def is_rational(self) -> bool:
@@ -190,7 +191,3 @@ def root_of_unity(m: int, p: int) -> CycloNumber:
     ext = [Fraction(0)] * p
     ext[m] = Fraction(1)
     return CycloNumber._from_extended(p, ext)
-
-
-def to_complex_float(x: CycloNumber) -> complex:
-    return x.to_complex()

@@ -55,3 +55,7 @@ class SpanError(PadicError):
 
 class ConfigError(PadicError):
     """Malformed run configuration."""
+
+
+class InvariantError(PadicError):
+    """An internal invariant of the exact computation failed."""

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from padicframes.affine import (
     StabilizerSpec,
 )
 from padicframes.cyclotomic import CycloNumber
-from padicframes.errors import DepthTooSmallError
+from padicframes.errors import DepthTooSmallError, InvariantError
 from padicframes.padic import (
     CosetRepresentative,
     ppow,
@@ -298,6 +299,22 @@ class TestStabilizerSpec:
                 in_stabilizer(g, StabilizerSpec(p, spec.gamma_a, spec.gamma_0, anchor))
                 for anchor in anchors}
             assert len(memberships) == 1
+
+    def test_anchor_check_raises_typed_error(self, monkeypatch):
+        # anchors 1/3 and 2/3 at scale -1 sit exactly at the pair bound;
+        # overstating the digits of fractional differences by one (centers
+        # 1 and 2 are integers and stay exact) breaks it
+        p = 3
+        f = TestFunction.single(wavelet_index(-1, Fraction(1, 3), 1, p)) \
+            + TestFunction.single(wavelet_index(-1, Fraction(2, 3), 1, p))
+        assert stabilizer_spec(f).gamma_a == 2
+        affine_module = importlib.import_module("padicframes.affine")
+        exact = affine_module.rational_valuation
+        monkeypatch.setattr(
+            affine_module, "rational_valuation",
+            lambda q, p: exact(q, p) - (q.denominator % p == 0))
+        with pytest.raises(InvariantError, match="b-balls"):
+            stabilizer_spec(f)
 
 
 class TestGenericity:

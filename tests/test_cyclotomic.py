@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicframes.cyclotomic import CycloNumber, root_of_unity
-from padicframes.errors import PrimeMismatchError
+from padicframes.errors import InvariantError, PrimeMismatchError
 
 PRIMES = [2, 3, 5, 7]
 
@@ -59,6 +59,13 @@ class TestFieldOperations:
     def test_prime_mismatch(self):
         with pytest.raises(PrimeMismatchError):
             CycloNumber.one(3) + CycloNumber.one(5)
+
+    def test_irrational_field_norm_raises_typed_error(self, monkeypatch):
+        # the check survives python -O, unlike an assert
+        x = CycloNumber.one(5) + root_of_unity(2, 5)
+        monkeypatch.setattr(CycloNumber, "is_rational", lambda self: False)
+        with pytest.raises(InvariantError, match="field norm"):
+            x.inverse()
 
     def test_p_equals_two_degenerates_to_rationals(self):
         z = root_of_unity(1, 2)
