@@ -35,7 +35,6 @@ from .affine import (
     StabilizerSpec,
     act_on_function,
     act_on_wavelet,
-    affine,
     ball_stabilizer_membership,
     compose,
     genericity_check,

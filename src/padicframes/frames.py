@@ -11,12 +11,15 @@ of contributing orbit indices, which turns the frame identity into a finite
 exact sum.
 
 ``verify_tight_frame`` evaluates that sum either by direct enumeration or by
-a grouped strategy that counts repeated values with exact multiplicities:
-for a fixed (gamma, J) and a single contributing term pair, every solution
-index yields the same squared inner product (phases are unimodular), and
-when several pairs collide their solution cosets are walked digit by digit,
-evaluating one honest representative per cell.  Both strategies are exact
-and are tested against each other.
+a grouped strategy that counts before it multiplies.  An index that carries
+a single term pair (wf, wg) contributes |C_wf|^2 |C_wg|^2 whatever the index
+(phases are unimodular), so such indices are only counted: an integer
+multiplicity per pair, which covers a whole (gamma, J mod p) group with a
+single pair, for every lift of J at once.  When several pairs collide, their
+solution cosets are walked digit by digit per J, and each cell where pairs
+still collide is evaluated honestly on one representative index through the
+group action.  Each squared coefficient norm is computed once per term.
+Both strategies are exact and are tested against each other.
 """
 
 from __future__ import annotations
@@ -254,8 +257,8 @@ def _scaled(value, count: int, mode: str):
 
 
 def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
-                      gamma: int, J: int,
-                      sols: Sequence[_PairSolution]):
+                      gamma: int, J: int, sols: Sequence[_PairSolution],
+                      counts: list[int]):
     """Walk the union of solution cosets digit by digit.
 
     A solution constrains the digits of n below its profile position
@@ -263,8 +266,10 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
     position (higher digits shift the character argument by p-adic integers
     times p, leaving both the target index and the phase untouched).  The
     walk therefore branches only at constrained or profile positions and
-    multiplies a count everywhere else; each leaf is evaluated honestly via
-    the group action on one representative index.
+    multiplies a count everywhere else.  Each leaf where several pairs still
+    collide is evaluated honestly via the group action on one representative
+    index, and its energy is returned; a branch left with a single pair
+    sols[i] adds its multiplicity to ``counts[i]`` instead.
     """
     p = f.prime
     mode = f.mode
@@ -281,7 +286,7 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
 
     total = _zero_energy(f)
 
-    def leaf(alive: frozenset, digits: dict[int, int], mult: int):
+    def leaf(digits: dict[int, int], mult: int):
         nonlocal total
         n_value = Fraction(0)
         for pos, d in digits.items():
@@ -292,11 +297,8 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
     def close_single(i: int, pos: int, mult: int):
         # One surviving pair: below its profile the digits are pinned, at and
         # above it every choice yields the same squared inner product.
-        nonlocal total
         free = hi - max(pos, profiles[i]) + 1
-        energy = coeff_nsq(f.terms[sols[i].wf], mode) \
-            * coeff_nsq(g.terms[sols[i].wg], mode)
-        total = total + _scaled(energy, mult * p**free, mode)
+        counts[i] += mult * p**free
 
     def walk(pos: int, alive: frozenset, digits: dict[int, int], mult: int):
         if not alive:
@@ -305,7 +307,7 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
             close_single(next(iter(alive)), pos, mult)
             return
         if pos > hi:
-            leaf(alive, digits, mult)
+            leaf(digits, mult)
             return
         cons = {i: digit_tables[i].get(pos, 0) for i in alive if pos < profiles[i]}
         has_profile = any(profiles[i] == pos for i in alive)
@@ -334,24 +336,44 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
 
 def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
                          g: TestFunction):
-    """Sum of |<g, orbit member>|^2 with exact multiplicity grouping."""
+    """Sum of |<g, orbit member>|^2 with exact multiplicity grouping.
+
+    Every orbit index that carries exactly one term wf of f onto a term wg
+    of g contributes |C_wf|^2 |C_wg|^2, whatever the index, so such indices
+    are only counted: a (gamma, J mod p) group with a single pair adds
+    p**(wf.gamma - gamma_0 + 1) for each of the p**(gamma_a - 1) values of J
+    in the residue class at once, and the collision walk adds its
+    single-pair branches.  Indices where several pairs collide are still
+    evaluated honestly through the group action, per J.  Each squared
+    coefficient norm is computed once, so the result is
+    sum(count * |C_wf|^2 |C_wg|^2) plus the honest leaf energies.
+    """
     p = f.prime
     mode = f.mode
+    lifts = p ** (spec.gamma_a - 1)  # values of J in one residue class mod p
+    g_nsq = {wg: coeff_nsq(c, mode) for wg, c in g.terms.items()}
+    weights = {}  # wf -> sum of count * |C_wg|^2 over the pairs (wf, wg)
     total = _zero_energy(f)
     for gamma, by_res in _pair_groups(f, g).items():
-        for t in range(p ** (spec.gamma_a - 1)):
-            for j_res, pairs in by_res.items():
-                J = j_res + t * p
-                if len(pairs) == 1:
-                    wf, wg = pairs[0]
-                    count = p ** (wf.gamma - spec.gamma_0 + 1)
-                    energy = coeff_nsq(f.terms[wf], mode) * coeff_nsq(g.terms[wg], mode)
-                    total = total + _scaled(energy, count, mode)
-                else:
+        for j_res, pairs in by_res.items():
+            if len(pairs) == 1:
+                wf, _ = pairs[0]
+                counts = [p ** (wf.gamma - spec.gamma_0 + 1) * lifts]
+            else:
+                counts = [0] * len(pairs)
+                for t in range(lifts):
+                    J = j_res + t * p
                     sols = [
                         _PairSolution(wf, wg, _pair_base(wf, wg, J, p))
                         for wf, wg in pairs]
-                    total = total + _collision_energy(f, spec, g, gamma, J, sols)
+                    total = total + _collision_energy(
+                        f, spec, g, gamma, J, sols, counts)
+            for (wf, wg), count in zip(pairs, counts):
+                if count:
+                    term = _scaled(g_nsq[wg], count, mode)
+                    weights[wf] = weights[wf] + term if wf in weights else term
+    for wf, weight in weights.items():
+        total = total + coeff_nsq(f.terms[wf], mode) * weight
     return total
 
 

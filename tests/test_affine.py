@@ -1,11 +1,12 @@
-import importlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicframes.affine as affine_module
 from padicframes.affine import (
     act_on_function,
     act_on_wavelet,
@@ -308,7 +309,6 @@ class TestStabilizerSpec:
         f = TestFunction.single(wavelet_index(-1, Fraction(1, 3), 1, p)) \
             + TestFunction.single(wavelet_index(-1, Fraction(2, 3), 1, p))
         assert stabilizer_spec(f).gamma_a == 2
-        affine_module = importlib.import_module("padicframes.affine")
         exact = affine_module.rational_valuation
         monkeypatch.setattr(
             affine_module, "rational_valuation",
@@ -394,3 +394,14 @@ def test_power_matches_repeated_composition(data):
     for _ in range(abs(k)):
         expected = compose(expected, step)
     assert power(g, k) == expected
+
+
+def test_package_attribute_affine_is_the_submodule():
+    # the group-element constructor lives in the submodule only, so the
+    # package attribute stays the module
+    import padicframes
+
+    assert isinstance(padicframes.affine, types.ModuleType)
+    assert padicframes.affine is affine_module
+    assert affine_module.affine is affine
+    assert callable(padicframes.affine.required_genericity_depth)

@@ -1,4 +1,8 @@
 import cmath
+import copy
+import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,3 +174,217 @@ def test_complex_embedding_is_a_ring_map(data):
     assert abs((x + y).to_complex() - (x.to_complex() + y.to_complex())) <= add_tol
     mul_tol = 1e-12 * max(1.0, _l1(x) * _l1(y))
     assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) <= mul_tol
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against a Fraction-tuple reference kernel
+# ---------------------------------------------------------------------------
+#
+# The reference below is the kernel's former representation: p - 1 Fraction
+# coefficients, multiplication and automorphisms on a length-p vector whose
+# last slot is cleared through the minimal polynomial.  The integer-numerator
+# kernel must agree with it on every operation.
+
+
+def ref_from_extended(p, ext):
+    tail = ext[p - 1]
+    return tuple(c - tail for c in ext[: p - 1])
+
+
+def ref_mul(p, x, y):
+    ext = [Fraction(0)] * p
+    for i, a in enumerate(x):
+        for k, b in enumerate(y):
+            ext[(i + k) % p] += a * b
+    return ref_from_extended(p, ext)
+
+
+def ref_automorphism(p, x, k):
+    ext = [Fraction(0)] * p
+    for i, a in enumerate(x):
+        ext[(i * k) % p] += a
+    return ref_from_extended(p, ext)
+
+
+def ref_inverse(p, x):
+    cofactor = (Fraction(1),) + (Fraction(0),) * (p - 2)
+    for k in range(2, p):
+        cofactor = ref_mul(p, cofactor, ref_automorphism(p, x, k))
+    field_norm = ref_mul(p, x, cofactor)
+    assert all(c == 0 for c in field_norm[1:])
+    return tuple(c / field_norm[0] for c in cofactor)
+
+
+def random_coeffs(rng, p):
+    """Sparse and dense coefficient tuples with mixed denominators, some of
+    them large, so reductions and sign handling are exercised."""
+    out = []
+    for _ in range(p - 1):
+        kind = rng.random()
+        if kind < 0.25:
+            out.append(Fraction(0))
+        elif kind < 0.5:
+            out.append(Fraction(rng.randint(-9, 9)))
+        elif kind < 0.85:
+            out.append(Fraction(rng.randint(-50, 50), rng.randint(1, 36)))
+        else:
+            out.append(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)))
+    return tuple(out)
+
+
+def random_pairs(p, count=40, seed=0):
+    rng = random.Random(1000 * p + seed)
+    return [(random_coeffs(rng, p), random_coeffs(rng, p)) for _ in range(count)]
+
+
+def assert_canonical(x: CycloNumber):
+    assert x._den > 0
+    assert math.gcd(x._den, *x._num) == 1
+    assert all(isinstance(c, Fraction) for c in x.coeffs)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ring_ops_match_reference(p):
+    for xc, yc in random_pairs(p):
+        x, y = CycloNumber(p, xc), CycloNumber(p, yc)
+        results = {
+            "+": (x + y, tuple(a + b for a, b in zip(xc, yc))),
+            "-": (x - y, tuple(a - b for a, b in zip(xc, yc))),
+            "neg": (-x, tuple(-a for a in xc)),
+            "*": (x * y, ref_mul(p, xc, yc)),
+            "scale int": (x.scale(-6), tuple(-6 * a for a in xc)),
+            "scale frac": (x.scale(Fraction(-4, 15)),
+                           tuple(Fraction(-4, 15) * a for a in xc)),
+            "norm_sq": (x.norm_sq(),
+                        ref_mul(p, xc, ref_automorphism(p, xc, p - 1))),
+        }
+        for name, (got, want) in results.items():
+            assert got.coeffs == want, name
+            assert_canonical(got)
+        assert x.is_zero() == all(a == 0 for a in xc)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_automorphisms_match_reference(p):
+    for xc, _ in random_pairs(p, count=20, seed=1):
+        x = CycloNumber(p, xc)
+        for k in range(1, 2 * p):
+            if k % p == 0:
+                with pytest.raises(ValueError):
+                    x.automorphism(k)
+                continue
+            got = x.automorphism(k)
+            assert got.coeffs == ref_automorphism(p, xc, k)
+            assert_canonical(got)
+        assert x.conjugate().coeffs == ref_automorphism(p, xc, p - 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_inverse_and_division_match_reference(p):
+    for xc, yc in random_pairs(p, count=25, seed=2):
+        x, y = CycloNumber(p, xc), CycloNumber(p, yc)
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+            continue
+        inv = y.inverse()
+        assert inv.coeffs == ref_inverse(p, yc)
+        assert_canonical(inv)
+        assert (x / y).coeffs == ref_mul(p, xc, ref_inverse(p, yc))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_equality_and_hash_across_denominators(p):
+    for xc, yc in random_pairs(p, count=20, seed=3):
+        x, y = CycloNumber(p, xc), CycloNumber(p, yc)
+        # the same element reached through different intermediate denominators
+        routes = [
+            x.scale(Fraction(1, 6)) + x.scale(Fraction(5, 6)),
+            x.scale(7).scale(Fraction(1, 7)),
+            (x + y) - y,
+            (x - y.scale(Fraction(3, 11))) + y.scale(Fraction(3, 11)),
+        ]
+        if not y.is_zero():
+            routes.append((x * y) / y)
+        for other in routes:
+            assert other == x
+            assert hash(other) == hash(x)
+        assert CycloNumber(p, x.coeffs) == x
+        assert hash(CycloNumber(p, x.coeffs)) == hash(x)
+        if x != y:
+            assert x.coeffs != y.coeffs
+        assert x != x + CycloNumber.from_rational(Fraction(1, 3), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_coeffs_round_trip(p):
+    for xc, _ in random_pairs(p, count=20, seed=4):
+        x = CycloNumber(p, xc)
+        assert x.coeffs == xc
+        assert isinstance(x.coeffs, tuple)
+        again = CycloNumber(p, x.coeffs)
+        assert again == x and again.coeffs == xc
+        # ints and Fractions are accepted alike at the boundary
+        mixed = [c.numerator if c.denominator == 1 else c for c in xc]
+        assert CycloNumber(p, mixed) == x
+
+
+def test_immutable():
+    x = root_of_unity(1, 5)
+    with pytest.raises(AttributeError):
+        x.prime = 7
+    with pytest.raises(AttributeError):
+        x.coeffs = (Fraction(1),) * 4
+    assert x == root_of_unity(1, 5)
+    y = x.scale(Fraction(-2, 9))
+    assert copy.deepcopy(y) == y
+    assert pickle.loads(pickle.dumps(y)) == y
+
+
+def test_boundary_rejects_bad_prime_and_length():
+    with pytest.raises(ValueError, match="not a prime"):
+        CycloNumber(4, (Fraction(1),) * 3)
+    with pytest.raises(ValueError, match="not a prime"):
+        CycloNumber(1, ())
+    with pytest.raises(ValueError, match="need 4 coefficients"):
+        CycloNumber(5, (Fraction(1),) * 3)
+    with pytest.raises(ValueError, match="need 2 coefficients"):
+        CycloNumber(3, (Fraction(1),) * 3)
+    with pytest.raises(ValueError, match="not a prime"):
+        CycloNumber.zero(4)
+    with pytest.raises(ValueError, match="not a prime"):
+        root_of_unity(1, 9)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against sympy: polynomial arithmetic modulo Phi_p
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_products_inverses_and_automorphisms_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.Poly(sympy.cyclotomic_poly(p, z), z, domain="QQ")
+
+    def to_poly(coeffs):
+        return sympy.Poly(
+            sum(sympy.Rational(c.numerator, c.denominator) * z**k
+                for k, c in enumerate(coeffs)), z, domain="QQ")
+
+    def from_poly(poly):
+        rem = poly.rem(phi)
+        out = [Fraction(0)] * (p - 1)
+        for (k,), c in rem.terms():
+            out[k] = Fraction(int(c.p), int(c.q))
+        return tuple(out)
+
+    for xc, yc in random_pairs(p, count=8, seed=5):
+        x, y = CycloNumber(p, xc), CycloNumber(p, yc)
+        X, Y = to_poly(xc), to_poly(yc)
+        assert (x * y).coeffs == from_poly(X * Y)
+        for k in range(1, p):
+            image = X.compose(sympy.Poly(z**k, z, domain="QQ"))
+            assert x.automorphism(k).coeffs == from_poly(image)
+        if not y.is_zero():
+            assert y.inverse().coeffs == from_poly(Y.invert(phi))

@@ -15,6 +15,7 @@ from padicframes.cyclotomic import CycloNumber
 from padicframes.errors import EmptyFunctionError, NonGenericError
 from padicframes.frames import (
     OrbitIndex,
+    _pair_groups,
     dilation_indices,
     frame_bound,
     group_element,
@@ -26,6 +27,7 @@ from padicframes.frames import (
     phase_fix_multiplicity,
     relevant_orbit_indices,
     reparametrize_wavelet_frame,
+    residual_is_zero,
     run_frame_check,
     verify_tight_frame,
 )
@@ -33,11 +35,13 @@ from padicframes.padic import CosetRepresentative, ppow
 from padicframes.sampling import (
     base_wavelet,
     non_generic_example,
+    random_cyclo,
     random_generic_function,
     random_test_function,
 )
 from padicframes.wavelets import (
     EXACT,
+    FLOAT,
     TestFunction,
     inner_product_symbolic,
     norm_sq,
@@ -47,6 +51,41 @@ from padicframes.wavelets import (
 
 def spec_of(f):
     return stabilizer_spec(f)
+
+
+# grouped == direct sweep sizes: direct enumeration costs a few tenths of a
+# millisecond per contributing index, so instances are capped by index count
+ORACLE_CASES = 5
+ORACLE_FLOAT_CASES = 3
+ORACLE_INDEX_CAP = 600
+
+
+def index_bound(f, spec, g):
+    """Contributing orbit indices counted per term pair, before the union:
+    an upper bound on what direct enumeration evaluates."""
+    p = f.prime
+    return sum(p ** (spec.gamma_a - spec.gamma_0 + wf.gamma)
+               for wf in f.terms for _ in g.terms)
+
+
+def has_collision(f, g):
+    """Whether some (gamma, J mod p) group holds several term pairs."""
+    return any(len(pairs) > 1
+               for by_res in _pair_groups(f, g).values()
+               for pairs in by_res.values())
+
+
+def as_float(f):
+    return TestFunction(f.prime, FLOAT,
+                        {idx: c.to_complex() for idx, c in f.terms.items()})
+
+
+def assert_float_grouped_equals_direct(f, spec, g):
+    ff, gf = as_float(f), as_float(g)
+    difference = orbit_energy_grouped(ff, spec, gf) \
+        - orbit_energy_direct(ff, spec, gf)
+    assert residual_is_zero(difference, FLOAT, bound=frame_bound(ff, spec),
+                            g_nsq=norm_sq(gf))
 
 
 class TestOrbitElements:
@@ -274,6 +313,48 @@ class TestTightFrameVerification:
             spec = spec_of(f)
             assert (orbit_energy_grouped(f, spec, g)
                     - orbit_energy_direct(f, spec, g)).is_zero()
+
+    def test_grouped_equals_direct_across_dilation_lifts(self):
+        # Mothers with gamma_a >= 2, so each residue of J mod p has several
+        # lifts: single pairs are counted for all lifts at once, colliding
+        # pairs are walked per lift.  Every other probe reuses the mother's
+        # indices, which makes its term pairs collide.
+        for p in (2, 3, 5):
+            rng = random.Random(7000 + p)
+            done = collisions = 0
+            while done < ORACLE_CASES:
+                f = random_generic_function(rng, p, max_terms=3,
+                                            gamma_range=(-1, 1), max_digits=2)
+                spec = spec_of(f)
+                if spec.gamma_a < 2:
+                    continue
+                if done % 2:
+                    g = TestFunction(
+                        p, EXACT, {idx: random_cyclo(rng, p) for idx in f.terms})
+                else:
+                    g = random_test_function(rng, p, max_terms=3,
+                                             gamma_range=(-1, 1), max_digits=2)
+                if index_bound(f, spec, g) > ORACLE_INDEX_CAP:
+                    continue
+                collisions += has_collision(f, g)
+                assert orbit_energy_grouped(f, spec, g) \
+                    == orbit_energy_direct(f, spec, g)
+                if done < ORACLE_FLOAT_CASES:
+                    assert_float_grouped_equals_direct(f, spec, g)
+                done += 1
+            assert collisions >= 1, p
+
+    def test_grouped_equals_direct_on_colliding_translates(self):
+        # two translates at one scale: gamma_a = 2, and probing with the
+        # mother itself puts both term pairs in one (gamma, J mod p) group
+        f = base_wavelet(3) + TestFunction.single(
+            wavelet_index(0, Fraction(1, 3), 1, 3)).scaled(
+                CycloNumber.from_rational(2, 3))
+        spec = spec_of(f)
+        assert spec.gamma_a == 2
+        assert has_collision(f, f)
+        assert orbit_energy_grouped(f, spec, f) == orbit_energy_direct(f, spec, f)
+        assert_float_grouped_equals_direct(f, spec, f)
 
     def test_empirical_bound_matches_closed_form(self):
         rng = random.Random(71)

@@ -6,13 +6,13 @@ action and one closed-form test for every cell.  The differential tests
 demand the same verdict from both, witness order included.
 """
 
-import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import padicframes.affine as affine_module
 from padicframes.affine import (
     GenericityVerdict,
     _translation_window,
@@ -155,7 +155,6 @@ def shifted_anchor_spec(f: TestFunction):
 def test_spec_violations_match_cell_by_cell_loop(monkeypatch):
     # The true closed form never fails, so violations need a wrong one: the
     # class holding the wrong prediction must be evaluated as well.
-    affine_module = importlib.import_module("padicframes.affine")
     monkeypatch.setattr(affine_module, "stabilizer_spec", shifted_anchor_spec)
     functions = [
         pair(wavelet_index(0, 0, 1, 2), wavelet_index(0, Fraction(1, 2), 1, 2)),
