@@ -37,7 +37,7 @@ from .padic import (
     rational_valuation,
     rep_mod,
 )
-from .wavelets import TestFunction, WaveletIndex, coeff_phase
+from .wavelets import TestFunction, WaveletIndex
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,6 @@ class PhasedWavelet:
 # ---------------------------------------------------------------------------
 
 
-def representative_element(idx: WaveletIndex) -> AffineElement:
-    """The group element carrying the base wavelet onto psi_idx exactly
-    (zero phase): (p**-gamma * j^-1, p**-gamma * n)."""
-    p = idx.prime
-    jinv = pow(idx.j, -1, p)
-    scale = ppow(p, -idx.gamma)
-    return affine(scale * jinv, scale * idx.n.value, p)
-
-
 def _classify_base_action(a: Fraction, b: Fraction, p: int):
     """Index map of the action on the base wavelet: (a, b) acting on
     psi gives phase m and target (gamma', n', j')."""
@@ -136,7 +127,9 @@ def _classify_base_action(a: Fraction, b: Fraction, p: int):
 
 
 def _act_index(a: Fraction, b: Fraction, idx: WaveletIndex) -> tuple[WaveletIndex, int]:
-    """Exact action on one index, via composition with its representative."""
+    """Exact action on one index, via composition with its representative
+    (p**-gamma j^-1, p**-gamma n), the element carrying the base wavelet onto
+    psi_idx with zero phase."""
     p = idx.prime
     jinv = pow(idx.j, -1, p)
     scale = ppow(p, -idx.gamma)
@@ -164,10 +157,11 @@ def act_on_function(g: AffineElement, f: TestFunction) -> TestFunction:
     if g.p != f.prime:
         raise PrimeMismatchError("mixed primes")
     a, b, p = g.a.value, g.b.value, f.prime
+    field = f.field
     out = {}
     for idx, c in f.terms.items():
         target, m = _act_index(a, b, idx)
-        nc = coeff_phase(c, m, p, f.mode)
+        nc = field.phase(c, m, p)
         out[target] = out[target] + nc if target in out else nc
     return TestFunction(f.prime, f.mode, out)
 

@@ -24,10 +24,11 @@ from .io import (
     serialize_amount,
     serialize_function,
 )
-from .padic import CosetRepresentative, ppow
+from .padic import CosetRepresentative, digit_grid
 from .sampling import random_test_function
 from .wavelets import (
     EXACT,
+    FLOAT,
     TestFunction,
     default_lattice,
     inner_product_symbolic,
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma-max", type=int, default=None)
     parser.add_argument("--depth", type=int, default=None)
     parser.add_argument("--random-g", type=int, default=None)
-    parser.add_argument("--mode", choices=(EXACT, "float"), default=None)
+    parser.add_argument("--mode", choices=(EXACT, FLOAT), default=None)
     parser.add_argument("--output", default=None, help="write report here")
     return parser
 
@@ -122,13 +123,9 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
     p = cfg.prime
     indices = []
     digit_cap = min(cfg.n_digit_bound, 1)
-    positions = list(range(-digit_cap, 1 - spec.gamma_0))
     for gamma in range(cfg.gamma_min, cfg.gamma_max + 1):
         for J in frames.dilation_indices(spec):
-            for t in range(p ** len(positions)):
-                n_value = sum(
-                    ((t // p**i) % p) * ppow(p, pos)
-                    for i, pos in enumerate(positions))
+            for n_value in digit_grid(p, -digit_cap, 1 - spec.gamma_0):
                 indices.append(frames.OrbitIndex(
                     gamma, CosetRepresentative(p, n_value, 1 - spec.gamma_0), J))
     indices = sorted(indices, key=lambda idx: idx.sort_key)[:_ORBIT_CAP]
@@ -139,11 +136,9 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
     for idx in indices:
         member = frames.orbit_element(f, spec, idx)
         member_nsq = norm_sq(member)
-        if cfg.mode == EXACT:
-            same = member_nsq == base_nsq
-        else:
-            same = abs(member_nsq - base_nsq) <= 1e-9 * max(1.0, abs(base_nsq))
-        if not same:
+        # equal norms need no subtraction; otherwise the field's residual test
+        if member_nsq != base_nsq and not f.field.residual_is_zero(
+                member_nsq - base_nsq, base_nsq, 1):
             uniform = False
         if frames.orbit_index_of(frames.group_element(idx, spec), spec) != idx:
             round_trip = False
@@ -195,24 +190,15 @@ def _cmd_frame_check(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_oracle_check(cfg: RunConfig) -> tuple[dict, int]:
-    rng = random.Random(cfg.seed)
-    grid = _probe_grid(cfg)
-    max_dev = 0.0
     count = max(cfg.random_g, 1)
-    for _ in range(count):
-        f1 = random_test_function(
-            rng, cfg.prime, gamma_range=tuple(grid["gamma_range"]),
-            max_digits=grid["max_translation_digits"], mode=cfg.mode)
-        f2 = random_test_function(
-            rng, cfg.prime, gamma_range=tuple(grid["gamma_range"]),
-            max_digits=grid["max_translation_digits"], mode=cfg.mode)
-        both = f1 + f2
-        resolution, support = default_lattice(both)
+    probes, grid = _random_probes(cfg, 2 * count)
+    max_dev = 0.0
+    for f1, f2 in zip(probes[::2], probes[1::2]):
+        resolution, support = default_lattice(f1 + f2)
         oracle = inner_product_oracle(
             sample(f1, resolution, support), sample(f2, resolution, support))
-        symbolic = inner_product_symbolic(f1, f2)
-        symbolic_c = symbolic.to_complex() if cfg.mode == EXACT else symbolic
-        max_dev = max(max_dev, abs(oracle - symbolic_c))
+        symbolic = f1.field.to_complex(inner_product_symbolic(f1, f2))
+        max_dev = max(max_dev, abs(oracle - symbolic))
     results = {
         "pairs": count,
         "max_abs_deviation": max_dev,
@@ -231,12 +217,8 @@ def _default_mra_function(p: int) -> TestFunction:
 def _cmd_mra_demo(cfg: RunConfig) -> tuple[dict, int]:
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 3)
-    shifts = []
-    for t in range(p**digit_cap):
-        value = sum(
-            ((t // p**i) % p) * ppow(p, -digit_cap + i)
-            for i in range(digit_cap))
-        shifts.append(CosetRepresentative(p, value, 0))
+    shifts = [CosetRepresentative(p, value, 0)
+              for value in digit_grid(p, -digit_cap, 0)]
     gram = mra.scaling_shift_gram(p, shifts)
     gram_identity = all(
         gram[i][k] == (1 if i == k else 0)

@@ -24,7 +24,6 @@ Both strategies are exact and are tested against each other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -37,11 +36,11 @@ from .affine import (
     affine,
     in_stabilizer,
 )
-from .cyclotomic import CycloNumber
 from .errors import EmptyFunctionError, NonGenericError
 from .padic import (
     CosetRepresentative,
     digit_expansion,
+    digit_grid,
     ppow,
     rational_norm,
     rational_valuation,
@@ -51,7 +50,6 @@ from .wavelets import (
     EXACT,
     TestFunction,
     WaveletIndex,
-    coeff_nsq,
     inner_product_symbolic,
     norm_sq,
 )
@@ -91,8 +89,6 @@ def group_element(idx: OrbitIndex, spec: StabilizerSpec) -> AffineElement:
 
 
 def orbit_index(gamma: int, n: Union[Fraction, int, str], J: int, spec: StabilizerSpec) -> OrbitIndex:
-    if isinstance(n, str):
-        n = Fraction(n)
     idx = OrbitIndex(gamma, CosetRepresentative(spec.prime, Fraction(n), 1 - spec.gamma_0), J)
     validate_orbit_index(idx, spec)
     return idx
@@ -178,10 +174,6 @@ def _pair_groups(f: TestFunction, g: TestFunction):
     return groups
 
 
-def _free_positions(wf: WaveletIndex, spec: StabilizerSpec) -> range:
-    return range(-wf.gamma, -spec.gamma_0 + 1)
-
-
 def relevant_orbit_indices(f: TestFunction, spec: StabilizerSpec,
                            g: TestFunction) -> set[OrbitIndex]:
     """A finite superset of every orbit index with nonzero <g, orbit member>.
@@ -199,13 +191,10 @@ def relevant_orbit_indices(f: TestFunction, spec: StabilizerSpec,
                 J = j_res + t * p
                 for wf, wg in pairs:
                     base = _pair_base(wf, wg, J, p)
-                    positions = list(_free_positions(wf, spec))
-                    for digits in itertools.product(range(p), repeat=len(positions)):
-                        n_value = base
-                        for pos, d in zip(positions, digits):
-                            n_value += d * ppow(p, pos)
+                    # free digits at positions -wf.gamma .. -gamma_0
+                    for offset in digit_grid(p, -wf.gamma, mod_exp):
                         out.add(OrbitIndex(
-                            gamma, CosetRepresentative(p, n_value, mod_exp), J))
+                            gamma, CosetRepresentative(p, base + offset, mod_exp), J))
     return out
 
 
@@ -218,42 +207,28 @@ def frame_bound(f: TestFunction, spec: StabilizerSpec):
     """Closed-form bound: sum over terms of |C|^2 p**(gamma_a - gamma_0 + gamma)."""
     if f.is_zero():
         raise EmptyFunctionError("empty expansion has no frame bound")
-    p = f.prime
-    if f.mode == EXACT:
-        total = CycloNumber.zero(p)
-        for idx, c in f.terms.items():
-            weight = p ** (spec.gamma_a - spec.gamma_0 + idx.gamma)
-            total = total + c.norm_sq().scale(weight)
-        return total
-    return sum(
-        coeff_nsq(c, f.mode) * p ** (spec.gamma_a - spec.gamma_0 + idx.gamma)
-        for idx, c in f.terms.items())
-
-
-def _zero_energy(f: TestFunction):
-    return CycloNumber.zero(f.prime) if f.mode == EXACT else 0.0
+    p, field = f.prime, f.field
+    total = field.real_zero(p)
+    for idx, c in f.terms.items():
+        weight = p ** (spec.gamma_a - spec.gamma_0 + idx.gamma)
+        total = total + field.scale(field.nsq(c), weight)
+    return total
 
 
 def _value_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
                   idx: OrbitIndex):
     value = inner_product_symbolic(g, orbit_element(f, spec, idx))
-    return coeff_nsq(value, f.mode)
+    return f.field.nsq(value)
 
 
 def orbit_energy_direct(f: TestFunction, spec: StabilizerSpec,
                         g: TestFunction):
     """Sum of |<g, orbit member>|^2 by plain enumeration of the finite
     contributing set."""
-    total = _zero_energy(f)
+    total = f.field.real_zero(f.prime)
     for idx in relevant_orbit_indices(f, spec, g):
         total = total + _value_energy(f, spec, g, idx)
     return total
-
-
-def _scaled(value, count: int, mode: str):
-    if mode == EXACT:
-        return value.scale(count)
-    return value * count
 
 
 def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
@@ -271,8 +246,7 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
     index, and its energy is returned; a branch left with a single pair
     sols[i] adds its multiplicity to ``counts[i]`` instead.
     """
-    p = f.prime
-    mode = f.mode
+    p, field = f.prime, f.field
     mod_exp = 1 - spec.gamma_0
     profiles = {i: s.profile_position() for i, s in enumerate(sols)}
     digit_tables = {i: digit_expansion(s.base, p) for i, s in enumerate(sols)}
@@ -284,7 +258,7 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
     lo = min(low_candidates)
     top_mult = p ** (-spec.gamma_0 - hi)
 
-    total = _zero_energy(f)
+    total = field.real_zero(p)
 
     def leaf(digits: dict[int, int], mult: int):
         nonlocal total
@@ -292,7 +266,7 @@ def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
         for pos, d in digits.items():
             n_value += d * ppow(p, pos)
         idx = OrbitIndex(gamma, CosetRepresentative(p, n_value, mod_exp), J)
-        total = total + _scaled(_value_energy(f, spec, g, idx), mult, mode)
+        total = total + field.scale(_value_energy(f, spec, g, idx), mult)
 
     def close_single(i: int, pos: int, mult: int):
         # One surviving pair: below its profile the digits are pinned, at and
@@ -348,12 +322,11 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
     coefficient norm is computed once, so the result is
     sum(count * |C_wf|^2 |C_wg|^2) plus the honest leaf energies.
     """
-    p = f.prime
-    mode = f.mode
+    p, field = f.prime, f.field
     lifts = p ** (spec.gamma_a - 1)  # values of J in one residue class mod p
-    g_nsq = {wg: coeff_nsq(c, mode) for wg, c in g.terms.items()}
+    g_nsq = {wg: field.nsq(c) for wg, c in g.terms.items()}
     weights = {}  # wf -> sum of count * |C_wg|^2 over the pairs (wf, wg)
-    total = _zero_energy(f)
+    total = field.real_zero(p)
     for gamma, by_res in _pair_groups(f, g).items():
         for j_res, pairs in by_res.items():
             if len(pairs) == 1:
@@ -370,10 +343,10 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
                         f, spec, g, gamma, J, sols, counts)
             for (wf, wg), count in zip(pairs, counts):
                 if count:
-                    term = _scaled(g_nsq[wg], count, mode)
+                    term = field.scale(g_nsq[wg], count)
                     weights[wf] = weights[wf] + term if wf in weights else term
     for wf, weight in weights.items():
-        total = total + coeff_nsq(f.terms[wf], mode) * weight
+        total = total + field.nsq(f.terms[wf]) * weight
     return total
 
 
@@ -390,14 +363,6 @@ def verify_tight_frame(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
     bound = frame_bound(f, spec)
     rhs = bound * norm_sq(g)
     return lhs - rhs
-
-
-def residual_is_zero(residual, mode: str, bound=None, g_nsq=None,
-                     rel_tol: float = 1e-9) -> bool:
-    if mode == EXACT:
-        return residual.is_zero()
-    scale = abs(bound * g_nsq) if bound is not None and g_nsq is not None else 1.0
-    return abs(residual) <= rel_tol * max(scale, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +382,10 @@ def phase_fix_multiplicity(gamma1: int, n1: CosetRepresentative,
     p = spec.prime
     delta1 = 0 if n1.value == 0 else -int(rational_valuation(n1.value, p))
     window = max(0, gamma1 + max(0, delta1))
-    positions = range(-window, -spec.gamma_0 + 1)
     count = 0
     for t in range(p ** (spec.gamma_a - 1)):
         J = 1 + t * p
-        for digits in itertools.product(range(p), repeat=len(positions)):
-            n_value = Fraction(0)
-            for pos, d in zip(positions, digits):
-                n_value += d * ppow(p, pos)
+        for n_value in digit_grid(p, -window, 1 - spec.gamma_0):
             lhs = J * ppow(p, gamma1) * n_value - (1 - J) * n1.value
             if rational_norm(lhs, p) <= 1:
                 count += 1
@@ -511,11 +472,8 @@ def run_frame_check(f: TestFunction, spec: StabilizerSpec,
     flags = []
     for g in probes:
         res = verify_tight_frame(f, spec, g)
-        g_nsq = norm_sq(g)
-        ok = residual_is_zero(res, f.mode, bound=bound, g_nsq=g_nsq) \
-            if f.mode != EXACT else res.is_zero()
         residuals.append(res)
-        flags.append(ok)
+        flags.append(f.field.residual_is_zero(res, bound, norm_sq(g)))
     checks = []
     if check_multiplicities:
         seen = set()
@@ -532,5 +490,5 @@ def run_frame_check(f: TestFunction, spec: StabilizerSpec,
         exact=f.mode == EXACT,
         g_count=len(residuals),
         residuals=tuple(residuals),
-        all_zero_residuals=all(flags) if flags else True,
+        all_zero_residuals=all(flags),
         multiplicity_checks=tuple(checks))

@@ -8,7 +8,8 @@ elements as {"a": "...", "b": "..."}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -23,22 +24,39 @@ def serialize_fraction(q: Fraction) -> str:
     return str(q)
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer: bools and floats such as 1.0 are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_finite(value: Any, what: str):
+    """A finite JSON number: bools, NaN and infinities are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 def parse_coeff(obj: Any, p: int, mode: str):
-    if mode == EXACT:
-        if not isinstance(obj, dict) or "zeta_powers" not in obj:
-            raise ConfigError(
-                "exact coefficients need a {'zeta_powers': [[m, 'a/b'], ...]} literal")
-        try:
-            return CycloNumber.from_zeta_powers(obj["zeta_powers"], p)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad cyclotomic literal: {exc}") from exc
     if isinstance(obj, dict) and "zeta_powers" in obj:
-        return CycloNumber.from_zeta_powers(obj["zeta_powers"], p).to_complex()
+        try:
+            for power, literal in obj["zeta_powers"]:
+                _json_int(power, "zeta power")
+                if not isinstance(literal, str):
+                    _json_finite(literal, "zeta coefficient")
+            c = CycloNumber.from_zeta_powers(obj["zeta_powers"], p)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad cyclotomic literal: {exc}") from exc
+        return c if mode == EXACT else c.to_complex()
+    if mode == EXACT:
+        raise ConfigError(
+            "exact coefficients need a {'zeta_powers': [[m, 'a/b'], ...]} literal")
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise ConfigError(f"bad complex literal: {obj!r}")
+        re, im = (_json_finite(x, "complex coefficient part") for x in obj)
+        return complex(float(re), float(im))
+    return complex(_json_finite(obj, "complex coefficient"))
 
 
 def serialize_coeff(c, mode: str) -> Any:
@@ -57,13 +75,13 @@ def parse_function(records: Any, p: int, mode: str) -> TestFunction:
         if not isinstance(record, dict):
             raise ConfigError(f"{where}: term record must be an object")
         try:
-            gamma = int(record["gamma"])
+            gamma = _json_int(record["gamma"], "gamma")
             n = parse_rational(str(record["n"]))
-            j = int(record["j"])
+            j = _json_int(record["j"], "j")
             coeff = parse_coeff(record["coeff"], p, mode)
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}") from exc
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         try:
             idx = wavelet_index(gamma, n, j, p)
@@ -120,7 +138,6 @@ class RunConfig:
     n_digit_bound: int = 3
     random_g: int = 25
     seed: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 _KNOWN_KEYS = {"prime", "mode", "function", "depth", "gamma_min", "gamma_max",
@@ -149,11 +166,8 @@ def load_config(data: Any) -> RunConfig:
     for key in ("depth", "gamma_min", "gamma_max", "n_digit_bound",
                 "random_g", "seed"):
         if key in data:
-            value = data[key]
-            if value is not None and not isinstance(value, int):
-                raise ConfigError(f"'{key}' must be an integer")
-            if value is not None:
-                setattr(cfg, key, value)
+            if data[key] is not None:
+                setattr(cfg, key, _json_int(data[key], f"'{key}'"))
     if cfg.gamma_min > cfg.gamma_max:
         raise ConfigError("gamma_min must not exceed gamma_max")
     if cfg.n_digit_bound < 0 or cfg.random_g < 0:

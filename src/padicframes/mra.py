@@ -15,7 +15,6 @@ matches the usual decreasing multiresolution ladder.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,7 +23,7 @@ from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
 from .errors import ModeMismatchError, SpanError
 from .frames import OrbitIndex, dilation_indices, orbit_element
-from .padic import CosetRepresentative, ppow, rational_norm
+from .padic import CosetRepresentative, digit_grid, rational_norm
 from .wavelets import EXACT, TestFunction, inner_product_symbolic
 
 
@@ -63,14 +62,10 @@ def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
     digit positions down to -truncation."""
     p = f.prime
     mod_exp = 1 - spec.gamma_0
-    positions = list(range(-truncation, mod_exp))
     gens = []
     labels = []
     for J in dilation_indices(spec):
-        for digits in itertools.product(range(p), repeat=len(positions)):
-            n_value = Fraction(0)
-            for pos, d in zip(positions, digits):
-                n_value += d * ppow(p, pos)
+        for n_value in digit_grid(p, -truncation, mod_exp):
             idx = OrbitIndex(gamma, CosetRepresentative(p, n_value, mod_exp), J)
             labels.append(idx)
             gens.append(orbit_element(f, spec, idx))
@@ -90,6 +85,7 @@ def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
     truncated translation grid; orthogonal means every entry is exactly zero."""
     probe1 = span_probe(f, spec, gamma1, truncation)
     probe2 = span_probe(f, spec, gamma2, truncation)
+    field = f.field
     max_abs = 0.0
     orthogonal = True
     entries = 0
@@ -97,14 +93,9 @@ def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
         for v in probe2.generators:
             ip = inner_product_symbolic(u, v)
             entries += 1
-            if f.mode == EXACT:
-                if not ip.is_zero():
-                    orthogonal = False
-                    max_abs = max(max_abs, abs(ip.to_complex()))
-            else:
-                if ip != 0:
-                    orthogonal = False
-                    max_abs = max(max_abs, abs(ip))
+            if not field.is_zero(ip):
+                orthogonal = False
+                max_abs = max(max_abs, abs(field.to_complex(ip)))
     return GramSummary(orthogonal, max_abs, entries)
 
 

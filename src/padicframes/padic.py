@@ -11,11 +11,12 @@ internally by the heavier modules) and the :class:`PadicScalar` wrapper API.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import NonUnitError, NotPIntegralError, PrimeMismatchError
 
@@ -139,6 +140,17 @@ def digit_expansion(q: Fraction, p: int) -> dict[int, int]:
             digits[pos] = r
         pos += 1
     return digits
+
+
+def digit_grid(p: int, lo: int, hi: int) -> Iterator[Fraction]:
+    """The value sum d_k p**k of every digit string (d_lo, ..., d_(hi-1)).
+
+    Strings come in ``itertools.product`` order, the highest position varying
+    fastest; an empty window (hi <= lo) yields the single value 0.
+    """
+    unit = ppow(p, lo)
+    for digits in itertools.product(range(p), repeat=max(hi - lo, 0)):
+        yield unit * sum(d * p**k for k, d in enumerate(digits))
 
 
 # ---------------------------------------------------------------------------

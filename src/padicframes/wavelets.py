@@ -10,12 +10,15 @@ normalization: the basis is orthonormal and the affine action sends basis
 elements to basis elements times p-th roots of unity, so everything stays in
 Q(zeta_p).  Irrational factors appear only in the floating-point sampling
 oracle below.
+
+A function's ``mode`` names its coefficient field: ``ExactField`` (Q(zeta_p))
+or ``FloatField`` (complex doubles, a cross-check).  Callers reach coefficient
+arithmetic through ``f.field`` instead of branching on the mode.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -24,7 +27,7 @@ from .cyclotomic import CycloNumber, root_of_unity
 from .errors import LatticeMismatchError, ModeMismatchError, ResolutionError
 from .padic import (
     CosetRepresentative,
-    digit_expansion,
+    digit_grid,
     ppow,
     rational_norm,
     rational_valuation,
@@ -62,9 +65,6 @@ class WaveletIndex:
     def support_center(self) -> Fraction:
         return ppow(self.prime, -self.gamma) * self.n.value
 
-    def support_radius_exponent(self) -> int:
-        return self.gamma
-
     def translation_digits(self) -> int:
         """Number of base-p digit positions below zero used by n."""
         v = rational_valuation(self.n.value, self.prime)
@@ -76,54 +76,101 @@ class WaveletIndex:
 
 def wavelet_index(gamma: int, n: Union[Fraction, int, str], j: int, p: int) -> WaveletIndex:
     """Convenience constructor taking n as a plain rational."""
-    if isinstance(n, str):
-        n = Fraction(n)
     return WaveletIndex(gamma, CosetRepresentative(p, Fraction(n), 0), j)
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-mode helpers
+# Coefficient fields
 # ---------------------------------------------------------------------------
 
 
-def coeff_conj(c: Coeff, mode: str) -> Coeff:
-    return c.conjugate() if mode == EXACT else complex(c).conjugate()
+class ExactField:
+    """Coefficients in Q(zeta_p) as ``CycloNumber``; every result is exact."""
 
+    def zero(self, p: int) -> CycloNumber:
+        return CycloNumber.zero(p)
 
-def coeff_nsq(c: Coeff, mode: str):
-    if mode == EXACT:
+    real_zero = zero  # the zero of squared norms and energies
+
+    def one(self, p: int) -> CycloNumber:
+        return CycloNumber.one(p)
+
+    def conj(self, c: CycloNumber) -> CycloNumber:
+        return c.conjugate()
+
+    def nsq(self, c: CycloNumber) -> CycloNumber:
         return c.norm_sq()
-    z = complex(c)
-    return z.real * z.real + z.imag * z.imag
 
+    def phase(self, c: CycloNumber, m: int, p: int) -> CycloNumber:
+        """Multiply by the p-th root of unity of exponent m."""
+        return c if m % p == 0 else c * root_of_unity(m, p)
 
-def coeff_phase(c: Coeff, m: int, p: int, mode: str) -> Coeff:
-    """Multiply by the p-th root of unity of exponent m."""
-    if m % p == 0:
-        return c
-    if mode == EXACT:
-        return c * root_of_unity(m, p)
-    return complex(c) * cmath.exp(2j * cmath.pi * (m % p) / p)
+    def to_complex(self, c: CycloNumber) -> complex:
+        return c.to_complex()
 
+    def is_zero(self, c: CycloNumber) -> bool:
+        return c.is_zero()
 
-def coeff_complex(c: Coeff, mode: str) -> complex:
-    return c.to_complex() if mode == EXACT else complex(c)
+    def scale(self, value: CycloNumber, count: int) -> CycloNumber:
+        return value.scale(count)
 
-
-def coeff_is_zero(c: Coeff, mode: str) -> bool:
-    return c.is_zero() if mode == EXACT else complex(c) == 0
-
-
-def _check_coeff(c: Coeff, mode: str, p: int) -> Coeff:
-    if mode == EXACT:
+    def check(self, c, p: int) -> CycloNumber:
         if not isinstance(c, CycloNumber):
             raise ModeMismatchError("exact mode needs cyclotomic coefficients")
         if c.prime != p:
             raise ModeMismatchError("coefficient prime differs from function prime")
         return c
-    if isinstance(c, CycloNumber):
-        raise ModeMismatchError("float mode needs complex coefficients")
-    return complex(c)
+
+    def residual_is_zero(self, residual: CycloNumber, bound=None, g_nsq=None) -> bool:
+        return residual.is_zero()
+
+
+class FloatField:
+    """Coefficients as ``complex`` doubles; squared norms, energies and
+    residuals are ``float``, and residuals are zero within a tolerance."""
+
+    def zero(self, p: int) -> complex:
+        return complex(0)
+
+    def real_zero(self, p: int) -> float:
+        return 0.0
+
+    def one(self, p: int) -> complex:
+        return complex(1)
+
+    def conj(self, c) -> complex:
+        return complex(c).conjugate()
+
+    def nsq(self, c) -> float:
+        z = complex(c)
+        return z.real * z.real + z.imag * z.imag
+
+    def phase(self, c, m: int, p: int):
+        if m % p == 0:
+            return c
+        return complex(c) * cmath.exp(2j * cmath.pi * (m % p) / p)
+
+    def to_complex(self, c) -> complex:
+        return complex(c)
+
+    def is_zero(self, c) -> bool:
+        return complex(c) == 0
+
+    def scale(self, value, count: int):
+        return value * count
+
+    def check(self, c, p: int) -> complex:
+        if isinstance(c, CycloNumber):
+            raise ModeMismatchError("float mode needs complex coefficients")
+        return complex(c)
+
+    def residual_is_zero(self, residual, bound=None, g_nsq=None) -> bool:
+        """|residual| <= 1e-9 * max(|bound * g_nsq|, 1)."""
+        scale = abs(bound * g_nsq) if bound is not None and g_nsq is not None else 1.0
+        return abs(residual) <= 1e-9 * max(scale, 1.0)
+
+
+FIELDS = {EXACT: ExactField(), FLOAT: FloatField()}
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +187,26 @@ class TestFunction:
     terms: Mapping[WaveletIndex, Coeff]
 
     def __post_init__(self):
-        if self.mode not in (EXACT, FLOAT):
+        if self.mode not in FIELDS:
             raise ValueError(f"unknown mode {self.mode!r}")
+        field = FIELDS[self.mode]
         clean = {}
         for idx, c in self.terms.items():
             if idx.prime != self.prime:
                 raise ModeMismatchError("index prime differs from function prime")
-            c = _check_coeff(c, self.mode, self.prime)
-            if not coeff_is_zero(c, self.mode):
+            c = field.check(c, self.prime)
+            if not field.is_zero(c):
                 clean[idx] = c
         object.__setattr__(self, "terms", clean)
 
+    @property
+    def field(self) -> Union[ExactField, FloatField]:
+        """The coefficient field named by ``mode``."""
+        return FIELDS[self.mode]
+
     @classmethod
     def single(cls, idx: WaveletIndex, mode: str = EXACT) -> "TestFunction":
-        one: Coeff = CycloNumber.one(idx.prime) if mode == EXACT else complex(1)
-        return cls(idx.prime, mode, {idx: one})
+        return cls(idx.prime, mode, {idx: FIELDS[mode].one(idx.prime)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -200,9 +252,10 @@ TestFunction.__test__ = False
 
 def norm_sq(f: TestFunction):
     """Squared L2 norm, sum of coefficient norm squares (orthonormal basis)."""
-    total = CycloNumber.zero(f.prime) if f.mode == EXACT else 0.0
+    field = f.field
+    total = field.real_zero(f.prime)
     for c in f.terms.values():
-        total = total + coeff_nsq(c, f.mode)
+        total = total + field.nsq(c)
     return total
 
 
@@ -212,11 +265,12 @@ def inner_product_symbolic(f: TestFunction, g: TestFunction):
         raise ModeMismatchError("mixed primes")
     if f.mode != g.mode:
         raise ModeMismatchError("mixed coefficient modes")
-    total = CycloNumber.zero(f.prime) if f.mode == EXACT else complex(0)
+    field = f.field
+    total = field.zero(f.prime)
     for idx, cf in f.terms.items():
         cg = g.terms.get(idx)
         if cg is not None:
-            total = total + cf * coeff_conj(cg, f.mode)
+            total = total + cf * field.conj(cg)
     return total
 
 
@@ -252,7 +306,7 @@ def wavelet_eval(idx: WaveletIndex, x: Union[Fraction, int]) -> complex:
 def evaluate_at(f: TestFunction, x: Union[Fraction, int]) -> complex:
     """Pointwise value of the expansion, in double precision."""
     return sum(
-        (coeff_complex(c, f.mode) * wavelet_eval(idx, x)
+        (f.field.to_complex(c) * wavelet_eval(idx, x)
          for idx, c in f.terms.items()),
         complex(0),
     )
@@ -298,16 +352,8 @@ def _term_lattice_points(idx: WaveletIndex, resolution: int) -> Iterable[Fractio
     """Canonical lattice representatives inside the support ball."""
     p = idx.prime
     center = idx.support_center()
-    span = resolution + idx.gamma  # digit positions -gamma .. resolution-1
-    if span <= 0:
-        yield rep_mod(center, p, resolution)
-        return
-    offsets = [Fraction(0)]
-    for pos in range(-idx.gamma, resolution):
-        step = ppow(p, pos)
-        offsets = [o + d * step for o in offsets for d in range(p)]
-    for o in offsets:
-        yield rep_mod(center + o, p, resolution)
+    for offset in digit_grid(p, -idx.gamma, resolution):
+        yield rep_mod(center + offset, p, resolution)
 
 
 def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFunction:
@@ -320,7 +366,7 @@ def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFu
         raise ResolutionError("support window too small", need_l)
     values: dict[Fraction, complex] = {}
     for idx, c in f.terms.items():
-        cz = coeff_complex(c, f.mode)
+        cz = f.field.to_complex(c)
         for x in _term_lattice_points(idx, resolution):
             values[x] = values.get(x, complex(0)) + cz * wavelet_eval(idx, x)
     values = {x: v for x, v in values.items() if v != 0}
@@ -354,5 +400,5 @@ def parseval_defect(f: TestFunction):
     for idx in f.terms:
         probe = TestFunction.single(idx, f.mode)
         ip = inner_product_symbolic(f, probe)
-        total = total - coeff_nsq(ip, f.mode)
+        total = total - f.field.nsq(ip)
     return total

@@ -46,8 +46,8 @@ from padicframes.sampling import (
 )
 from padicframes.wavelets import (
     EXACT,
+    FIELDS,
     TestFunction,
-    coeff_phase,
     default_lattice,
     evaluate_at,
     inner_product_oracle,
@@ -211,7 +211,7 @@ def test_criterion_06_action_cross_validation():
         source = TestFunction.single(idx)
         claimed = TestFunction(
             p, EXACT,
-            {out.index: coeff_phase(CycloNumber.one(p), out.phase, p, EXACT)})
+            {out.index: FIELDS[EXACT].phase(CycloNumber.one(p), out.phase, p)})
         resolution = max(default_lattice(source)[0], default_lattice(claimed)[0])
         support = max(default_lattice(source)[1], default_lattice(claimed)[1])
         lattice = sample(claimed, resolution, support)

@@ -44,8 +44,8 @@ from padicframes.sampling import (
 )
 from padicframes.wavelets import (
     EXACT,
+    FIELDS,
     TestFunction,
-    coeff_phase,
     default_lattice,
     evaluate_at,
     norm_sq,
@@ -80,7 +80,7 @@ def pointwise_match(g, idx, phased, tol=1e-9):
     source = TestFunction.single(idx)
     claimed = TestFunction(
         p, EXACT,
-        {phased.index: coeff_phase(CycloNumber.one(p), phased.phase, p, EXACT)})
+        {phased.index: FIELDS[EXACT].phase(CycloNumber.one(p), phased.phase, p)})
     # size the lattice from both functions separately; their sum may cancel
     resolution = max(default_lattice(source)[0], default_lattice(claimed)[0])
     support = max(default_lattice(source)[1], default_lattice(claimed)[1])

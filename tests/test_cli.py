@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +188,67 @@ class TestConfigValidation:
         assert serialize_affine(g) == {"a": "-5/9", "b": "2"}
         with pytest.raises(ConfigError):
             parse_affine_element({"a": "0", "b": "1"}, 3)
+
+
+FLOAT_TERMS = [{"gamma": 0, "n": "0", "j": 1, "coeff": [1.0, 0.5]}]
+
+
+def _exact_term(**fields):
+    return [{**BASE_WAVELET_TERMS[0], **fields}]
+
+
+# One config per rejected class: each used to be truncated, cast or let
+# through to a NaN residual instead of being refused with exit 2.
+MALFORMED_CONFIGS = {
+    "float_gamma": dict(function=_exact_term(gamma=0.9)),
+    "float_j": dict(function=_exact_term(j=1.7)),
+    "float_zeta_power": dict(
+        function=_exact_term(coeff={"zeta_powers": [[1.5, "1"]]})),
+    "bool_exact_coefficient": dict(
+        function=_exact_term(coeff={"zeta_powers": [[0, True]]})),
+    "bool_float_coefficient": dict(
+        mode="float", function=[{**FLOAT_TERMS[0], "coeff": True}]),
+    "bool_float_coefficient_part": dict(
+        mode="float", function=[{**FLOAT_TERMS[0], "coeff": [True, 0.0]}]),
+    "bool_j": dict(function=_exact_term(j=True)),
+    "bool_seed": dict(seed=True),
+    "bool_random_g": dict(random_g=True),
+    "nan_coefficient": dict(
+        mode="float", function=[{**FLOAT_TERMS[0], "coeff": [float("nan"), 0.0]}]),
+    "infinite_coefficient": dict(
+        mode="float", function=[{**FLOAT_TERMS[0], "coeff": [1.0, float("inf")]}]),
+    "overflowing_coefficient": dict(
+        mode="float", function=[{**FLOAT_TERMS[0], "coeff": [10**400, 0.0]}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_value_exits_2(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, **MALFORMED_CONFIGS[name])
+    code, out, err = run_cli(capsys, "--config", cfg, "--command", "frame-check")
+    assert code == 2 and out == ""
+    assert err.startswith("config:")
+
+
+def test_integral_json_values_still_accepted():
+    cfg = load_config({"prime": 3, "seed": 0, "random_g": 1, "depth": None,
+                       "function": _exact_term(j=2)})
+    assert cfg.seed == 0 and cfg.random_g == 1 and cfg.depth is None
+    with pytest.raises(ConfigError, match="gamma"):
+        load_config({"prime": 3, "function": _exact_term(gamma=1.0)})
+    with pytest.raises(ConfigError, match="'depth' must be an integer"):
+        load_config({"prime": 3, "depth": 2.0})
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "cli_cases"
+GOLDEN_CASES = json.loads((GOLDEN_DIR / "golden.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[f"{c['config']}-{c['command']}" for c in GOLDEN_CASES])
+def test_golden_cli_bytes(capsys, case):
+    """The checked-in CLI cases give the recorded exit code and stdout bytes."""
+    code, out, _ = run_cli(capsys, "--config", str(GOLDEN_DIR / case["config"]),
+                           "--command", case["command"])
+    assert code == case["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]

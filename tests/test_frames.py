@@ -27,7 +27,6 @@ from padicframes.frames import (
     phase_fix_multiplicity,
     relevant_orbit_indices,
     reparametrize_wavelet_frame,
-    residual_is_zero,
     run_frame_check,
     verify_tight_frame,
 )
@@ -84,8 +83,8 @@ def assert_float_grouped_equals_direct(f, spec, g):
     ff, gf = as_float(f), as_float(g)
     difference = orbit_energy_grouped(ff, spec, gf) \
         - orbit_energy_direct(ff, spec, gf)
-    assert residual_is_zero(difference, FLOAT, bound=frame_bound(ff, spec),
-                            g_nsq=norm_sq(gf))
+    assert ff.field.residual_is_zero(difference, bound=frame_bound(ff, spec),
+                                     g_nsq=norm_sq(gf))
 
 
 class TestOrbitElements:
@@ -478,3 +477,26 @@ def test_frame_report_structure():
     assert report.all_zero_residuals
     assert all(c.ok for c in report.multiplicity_checks)
     assert report.frame_bound == CycloNumber.from_rational(3, 3)
+
+
+def test_float_frame_amounts_stay_float():
+    """Float-mode bounds, energies and residuals are plain floats (the
+    report prints them as numbers) and agree with the exact values."""
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        f = random_generic_function(rng, p, max_terms=2, gamma_range=(-1, 1),
+                                    max_digits=1)
+        g = random_test_function(rng, p, max_terms=2, gamma_range=(-1, 1),
+                                 max_digits=1)
+        spec = spec_of(f)
+        ff, gf = as_float(f), as_float(g)
+        bound = frame_bound(ff, spec)
+        residual = verify_tight_frame(ff, spec, gf)
+        assert type(bound) is float
+        assert bound == pytest.approx(frame_bound(f, spec).to_complex().real)
+        assert type(residual) is float
+        assert type(orbit_energy_direct(ff, spec, gf)) is float
+        assert ff.field.residual_is_zero(residual, bound=bound, g_nsq=norm_sq(gf))
+        assert f.field.residual_is_zero(verify_tight_frame(f, spec, g))
+        report = run_frame_check(ff, spec, [gf], check_multiplicities=False)
+        assert report.all_zero_residuals and not report.exact

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from padicframes.padic import (
     PadicScalar,
     PrimeContext,
     coset_representative,
+    digit_grid,
     fractional_part,
     invert_mod_pk,
     mod_p,
@@ -284,3 +286,30 @@ def test_unit_part_norm_one(data):
     u = x * rational_norm(x, p)
     assert rational_norm(u, p) == 1
     assert ppow(p, v) * u == x
+
+
+def _product_loop(p, lo, hi):
+    """The hand-rolled digit walk that digit_grid replaces."""
+    positions = list(range(lo, hi))
+    out = []
+    for digits in itertools.product(range(p), repeat=len(positions)):
+        n_value = Fraction(0)
+        for pos, d in zip(positions, digits):
+            n_value += d * ppow(p, pos)
+        out.append(n_value)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("span", [0, 1, 2, 3])
+def test_digit_grid_matches_product_loop(p, span):
+    for lo in (-3, -1, 0, 2):
+        grid = list(digit_grid(p, lo, lo + span))
+        assert grid == _product_loop(p, lo, lo + span)
+        assert len(grid) == p**span
+        assert all(isinstance(v, Fraction) for v in grid)
+
+
+def test_digit_grid_empty_window_yields_zero_once():
+    assert list(digit_grid(3, 2, 2)) == [0]
+    assert list(digit_grid(3, 2, -1)) == [0]

@@ -6,12 +6,12 @@ import pytest
 
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import LatticeMismatchError, ModeMismatchError, ResolutionError
-from padicframes.sampling import random_test_function
+from padicframes.sampling import random_cyclo, random_test_function
 from padicframes.wavelets import (
     EXACT,
     FLOAT,
+    FIELDS,
     TestFunction,
-    coeff_nsq,
     default_lattice,
     evaluate_at,
     inner_product_oracle,
@@ -205,10 +205,68 @@ def test_coefficient_modes():
     idx = wavelet_index(0, 0, 1, p)
     exact = TestFunction.single(idx)
     floaty = TestFunction(p, FLOAT, {idx: 0.5 + 0.5j})
-    assert coeff_nsq(floaty.terms[idx], FLOAT) == pytest.approx(0.5)
+    assert floaty.field.nsq(floaty.terms[idx]) == pytest.approx(0.5)
     assert norm_sq(floaty) == pytest.approx(0.5)
     with pytest.raises(ModeMismatchError):
         TestFunction(p, FLOAT, {idx: CycloNumber.one(p)})
     with pytest.raises(ModeMismatchError):
         TestFunction(p, EXACT, {idx: 1 + 0j})
     assert not exact.is_zero()
+
+
+def test_float_field_agrees_with_exact_field():
+    """Each float-field operation matches the exact one read through the
+    complex embedding, and returns the type the reports print."""
+    rng = random.Random(5)
+    exact, floaty = FIELDS[EXACT], FIELDS[FLOAT]
+    for p in (2, 3, 5, 7):
+        assert exact.zero(p).is_zero() and exact.real_zero(p).is_zero()
+        assert exact.one(p) == CycloNumber.one(p)
+        assert type(floaty.zero(p)) is complex and floaty.zero(p) == 0
+        assert type(floaty.real_zero(p)) is float and floaty.real_zero(p) == 0
+        assert type(floaty.one(p)) is complex and floaty.one(p) == 1
+        for _ in range(10):
+            c = random_cyclo(rng, p)
+            z = c.to_complex()
+            m = rng.randrange(-2 * p, 2 * p)
+            assert floaty.phase(z, m, p) == pytest.approx(
+                exact.phase(c, m, p).to_complex())
+            assert floaty.conj(z) == pytest.approx(exact.conj(c).to_complex())
+            nsq = floaty.nsq(z)
+            assert type(nsq) is float
+            assert nsq == pytest.approx(exact.nsq(c).to_complex().real)
+            assert floaty.scale(nsq, 3) == pytest.approx(
+                exact.scale(exact.nsq(c), 3).to_complex().real)
+            assert exact.to_complex(c) == floaty.to_complex(z) == z
+            assert not exact.is_zero(c) and not floaty.is_zero(z)
+        c = random_cyclo(rng, p)
+        assert exact.phase(c, p, p) is c and floaty.phase(1j, -p, p) == 1j
+    assert exact.is_zero(CycloNumber.zero(3)) and floaty.is_zero(0j)
+
+
+def test_field_checks_and_residual_tests():
+    exact, floaty = FIELDS[EXACT], FIELDS[FLOAT]
+    with pytest.raises(ModeMismatchError):
+        exact.check(1 + 0j, 3)
+    with pytest.raises(ModeMismatchError):
+        exact.check(CycloNumber.one(5), 3)
+    with pytest.raises(ModeMismatchError):
+        floaty.check(CycloNumber.one(3), 3)
+    assert floaty.check(2, 3) == 2 and type(floaty.check(2, 3)) is complex
+    assert exact.residual_is_zero(CycloNumber.zero(3), bound=5, g_nsq=7)
+    assert not exact.residual_is_zero(root_of_unity(1, 3))
+    assert floaty.residual_is_zero(5e-10) and not floaty.residual_is_zero(5e-9)
+    # the tolerance is relative to |bound * g_nsq| once that exceeds 1
+    assert floaty.residual_is_zero(5e-7, bound=100.0, g_nsq=10.0)
+    assert not floaty.residual_is_zero(5e-7, bound=100.0)
+
+
+def test_float_mode_keeps_float_and_complex_types():
+    p = 3
+    f = TestFunction(p, FLOAT, {wavelet_index(0, 0, 1, p): 1 + 2j})
+    g = TestFunction(p, FLOAT, {wavelet_index(1, 0, 1, p): 3 + 0j})
+    assert type(norm_sq(f)) is float and norm_sq(f) == 5.0
+    assert type(norm_sq(TestFunction(p, FLOAT, {}))) is float
+    assert type(inner_product_symbolic(f, g)) is complex  # no shared index
+    assert inner_product_symbolic(f, f) == 5 + 0j
+    assert type(parseval_defect(f)) is float
