@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Sequence, Union
 
 from .errors import InvariantError, PrimeMismatchError
@@ -244,10 +244,22 @@ class CycloNumber:
 
     @classmethod
     def from_zeta_powers(cls, pairs, p: int) -> "CycloNumber":
+        """The sum of literal * zeta**power over (power, literal) pairs.
+
+        A power must be an ``int``; a literal is an ``"a/b"`` string or a
+        number.  Bools, non-integer powers and non-finite floats raise
+        ``TypeError``/``ValueError`` instead of being cast.
+        """
         out = cls.zero(p)
         for power, literal in pairs:
+            if isinstance(power, bool) or not isinstance(power, int):
+                raise TypeError(f"zeta power must be an integer, got {power!r}")
+            if isinstance(literal, bool) or (
+                    isinstance(literal, float) and not isfinite(literal)):
+                raise ValueError(
+                    f"zeta coefficient must be a finite number, got {literal!r}")
             value = parse_rational(literal) if isinstance(literal, str) else Fraction(literal)
-            out = out + root_of_unity(int(power), p).scale(value)
+            out = out + root_of_unity(power, p).scale(value)
         return out
 
     def __str__(self) -> str:

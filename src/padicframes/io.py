@@ -42,10 +42,6 @@ def _json_finite(value: Any, what: str):
 def parse_coeff(obj: Any, p: int, mode: str):
     if isinstance(obj, dict) and "zeta_powers" in obj:
         try:
-            for power, literal in obj["zeta_powers"]:
-                _json_int(power, "zeta power")
-                if not isinstance(literal, str):
-                    _json_finite(literal, "zeta coefficient")
             c = CycloNumber.from_zeta_powers(obj["zeta_powers"], p)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad cyclotomic literal: {exc}") from exc

@@ -8,6 +8,10 @@ spans at exponents gamma and gamma' are orthogonal once |gamma - gamma'|
 exceeds the scale spread of the mother function, and one p-power dilation
 carries the generator set at gamma bijectively onto the one at gamma + 1.
 
+Both exact kernels enumerate only nonzero work: the basis is orthonormal,
+so cross-Grams are accumulated over shared wavelet indices only, and span
+membership eliminates on sparse rows.
+
 Convention: spaces are labelled here by the orbit dilation exponent gamma
 (the group element is (p**gamma J, p**gamma J n)); a label flip gamma -> -gamma
 matches the usual decreasing multiresolution ladder.
@@ -17,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
 from .errors import ModeMismatchError, SpanError
 from .frames import OrbitIndex, dilation_indices, orbit_element
 from .padic import CosetRepresentative, digit_grid, rational_norm
-from .wavelets import EXACT, TestFunction, inner_product_symbolic
+from .wavelets import EXACT, Coeff, TestFunction, WaveletIndex
 
 
 def scaling_shift_gram(p: int, shifts: Sequence) -> list[list[Fraction]]:
@@ -79,23 +83,46 @@ class GramSummary:
     entries: int
 
 
+def cross_gram_rows(gens1: Sequence[TestFunction],
+                    gens2: Sequence[TestFunction]) -> Iterator[dict[int, Coeff]]:
+    """Yield the rows of the cross-Gram <gens1[k], gens2[col]> as
+    {col: entry} dicts, one at a time.
+
+    The basis is orthonormal, so an entry sums over the wavelet indices its
+    two generators share: gens2 is bucketed by index, and each entry adds in
+    its row generator's term order, as ``inner_product_symbolic`` does.  An
+    entry absent from a row is exactly zero.
+    """
+    buckets: dict[WaveletIndex, list] = {}
+    for col, v in enumerate(gens2):
+        for idx, c in v.terms.items():
+            buckets.setdefault(idx, []).append((col, v.field.conj(c)))
+    for u in gens1:
+        row: dict[int, Coeff] = {}
+        for idx, cu in u.terms.items():
+            for col, cv in buckets.get(idx, ()):
+                term = cu * cv
+                row[col] = row[col] + term if col in row else term
+        yield row
+
+
 def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
                        gamma1: int, gamma2: int, truncation: int) -> GramSummary:
     """All inner products between the gamma1 and gamma2 generator sets on the
-    truncated translation grid; orthogonal means every entry is exactly zero."""
+    truncated translation grid; orthogonal means every entry is exactly zero.
+    Only generator pairs that share a wavelet index are accumulated
+    (``cross_gram_rows``); ``entries`` counts the full N1 * N2 matrix."""
     probe1 = span_probe(f, spec, gamma1, truncation)
     probe2 = span_probe(f, spec, gamma2, truncation)
     field = f.field
     max_abs = 0.0
     orthogonal = True
-    entries = 0
-    for u in probe1.generators:
-        for v in probe2.generators:
-            ip = inner_product_symbolic(u, v)
-            entries += 1
+    for row in cross_gram_rows(probe1.generators, probe2.generators):
+        for ip in row.values():
             if not field.is_zero(ip):
                 orthogonal = False
                 max_abs = max(max_abs, abs(field.to_complex(ip)))
+    entries = len(probe1.generators) * len(probe2.generators)
     return GramSummary(orthogonal, max_abs, entries)
 
 
@@ -109,38 +136,49 @@ def solve_in_span(generators: Sequence[TestFunction],
     """Exact coefficients expressing target in the generators' span, or None.
 
     Gaussian elimination over the cyclotomic field on the wavelet-coefficient
-    matrix; the candidate solution is verified by exact recombination, so a
-    non-None answer is a certificate.
+    matrix, with sparse rows ``{column: coefficient}`` that hold only nonzero
+    entries; an update touches only the pivot row's columns and drops what it
+    cancels.  The candidate solution is verified by exact recombination, so
+    a non-None answer is a certificate.
     """
     if target.mode != EXACT or any(g.mode != EXACT for g in generators):
         raise ModeMismatchError("span solving works on exact coefficients")
     p = target.prime
     zero = CycloNumber.zero(p)
-    indices = sorted(
-        {idx for g in generators for idx in g.terms} | set(target.terms),
-        key=lambda idx: idx.sort_key)
-    rows = [[g.terms.get(idx, zero) for g in generators] for idx in indices]
+    by_index: dict[WaveletIndex, dict[int, CycloNumber]] = {
+        idx: {} for idx in target.terms}
+    for col, g in enumerate(generators):
+        for idx, c in g.terms.items():
+            by_index.setdefault(idx, {})[col] = c
+    indices = sorted(by_index, key=lambda idx: idx.sort_key)
+    rows = [by_index[idx] for idx in indices]
     rhs = [target.terms.get(idx, zero) for idx in indices]
 
     ncols = len(generators)
     pivot_of_col: dict[int, int] = {}
     row = 0
     for col in range(ncols):
-        pivot = next(
-            (r for r in range(row, len(rows)) if not rows[r][col].is_zero()),
-            None)
+        pivot = next((r for r in range(row, len(rows)) if col in rows[r]), None)
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
         rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
         inv = rows[row][col].inverse()
-        rows[row] = [entry * inv for entry in rows[row]]
+        rows[row] = {c: entry * inv for c, entry in rows[row].items()}
         rhs[row] = rhs[row] * inv
-        for r in range(len(rows)):
-            if r == row or rows[r][col].is_zero():
+        # the pivot entry is now one, so it cancels exactly in every update
+        rest = [(c, b) for c, b in rows[row].items() if c != col]
+        for r, entries in enumerate(rows):
+            if r == row or col not in entries:
                 continue
-            factor = rows[r][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+            factor = entries.pop(col)
+            for c, b in rest:
+                delta = factor * b
+                new = entries[c] - delta if c in entries else -delta
+                if new.is_zero():
+                    del entries[c]
+                else:
+                    entries[c] = new
             rhs[r] = rhs[r] - factor * rhs[row]
         pivot_of_col[col] = row
         row += 1
@@ -149,10 +187,14 @@ def solve_in_span(generators: Sequence[TestFunction],
     for col, r in pivot_of_col.items():
         solution[col] = rhs[r]
 
-    recombined = TestFunction(p, EXACT, {})
+    combined: dict[WaveletIndex, CycloNumber] = {}
     for coeff, gen in zip(solution, generators):
-        if not coeff.is_zero():
-            recombined = recombined + gen.scaled(coeff)
+        if coeff.is_zero():
+            continue
+        for idx, c in gen.terms.items():
+            term = c * coeff
+            combined[idx] = combined[idx] + term if idx in combined else term
+    recombined = TestFunction(p, EXACT, combined)
     return solution if recombined == target else None
 
 

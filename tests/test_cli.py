@@ -100,7 +100,7 @@ class TestAnalysisCommands:
 
     def test_mra_demo(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        del_cfg = json.loads(open(cfg).read())
+        del_cfg = json.loads(Path(cfg).read_text())
         del del_cfg["function"]
         (tmp_path / "config.json").write_text(json.dumps(del_cfg))
         code, out, _ = run_cli(capsys, "--config", cfg, "--command", "mra-demo")

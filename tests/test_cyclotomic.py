@@ -102,6 +102,25 @@ class TestSerialization:
         x = root_of_unity(1, 3).scale(Fraction(1, 2))
         assert x.zeta_powers() == [(1, "1/2")]
 
+    def test_numeric_literals_accepted(self):
+        x = CycloNumber.from_zeta_powers([(0, 2), (1, Fraction(1, 3)), (1, 0.5)], 3)
+        assert x == CycloNumber(3, [2, Fraction(5, 6)])
+
+    # one case per rejected class: each used to be cast by int() or Fraction()
+    @pytest.mark.parametrize("pairs,error", [
+        ([(1.5, "1")], TypeError),
+        ([(1.0, "1")], TypeError),
+        ([(True, "1")], TypeError),
+        ([(0, True)], ValueError),
+        ([(0, float("nan"))], ValueError),
+        ([(0, float("inf"))], ValueError),
+        ([(0, float("-inf"))], ValueError),
+    ], ids=["fractional_power", "float_power", "bool_power", "bool_literal",
+            "nan_literal", "inf_literal", "minus_inf_literal"])
+    def test_rejects_cast_inputs(self, pairs, error):
+        with pytest.raises(error):
+            CycloNumber.from_zeta_powers(pairs, 3)
+
 
 # ---------------------------------------------------------------------------
 # Property tests

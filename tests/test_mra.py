@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import SpanError
 from padicframes.mra import (
     GramSummary,
+    cross_gram_rows,
     scaling_relation_check,
     scaling_shift_gram,
     solve_in_span,
@@ -14,7 +16,14 @@ from padicframes.mra import (
     wavelet_space_gram,
 )
 from padicframes.padic import CosetRepresentative, ppow
-from padicframes.wavelets import EXACT, TestFunction, wavelet_index
+from padicframes.sampling import random_cyclo, random_generic_function
+from padicframes.wavelets import (
+    EXACT,
+    FLOAT,
+    TestFunction,
+    inner_product_symbolic,
+    wavelet_index,
+)
 
 
 def two_scale_function(p=3):
@@ -138,3 +147,166 @@ class TestScalingRelation:
             assert len(matches) == 1
             assert target.labels[matches[0]].J == idx_label.J
             assert target.labels[matches[0]].n == idx_label.n
+
+
+# ---------------------------------------------------------------------------
+# Slow oracles: the dense kernels the sparse ones replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_gram(f, spec, gamma1, gamma2, truncation):
+    """Every pairwise inner_product_symbolic between the two probes."""
+    probe1 = span_probe(f, spec, gamma1, truncation)
+    probe2 = span_probe(f, spec, gamma2, truncation)
+    field = f.field
+    max_abs = 0.0
+    orthogonal = True
+    entries = 0
+    for u in probe1.generators:
+        for v in probe2.generators:
+            ip = inner_product_symbolic(u, v)
+            entries += 1
+            if not field.is_zero(ip):
+                orthogonal = False
+                max_abs = max(max_abs, abs(field.to_complex(ip)))
+    return GramSummary(orthogonal, max_abs, entries)
+
+
+def dense_solve(generators, target):
+    """Gauss-Jordan elimination on dense rows of the coefficient matrix."""
+    p = target.prime
+    zero = CycloNumber.zero(p)
+    indices = sorted(
+        {idx for g in generators for idx in g.terms} | set(target.terms),
+        key=lambda idx: idx.sort_key)
+    rows = [[g.terms.get(idx, zero) for g in generators] for idx in indices]
+    rhs = [target.terms.get(idx, zero) for idx in indices]
+    ncols = len(generators)
+    pivot_of_col = {}
+    row = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(row, len(rows)) if not rows[r][col].is_zero()),
+            None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
+        inv = rows[row][col].inverse()
+        rows[row] = [entry * inv for entry in rows[row]]
+        rhs[row] = rhs[row] * inv
+        for r in range(len(rows)):
+            if r == row or rows[r][col].is_zero():
+                continue
+            factor = rows[r][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+            rhs[r] = rhs[r] - factor * rhs[row]
+        pivot_of_col[col] = row
+        row += 1
+    solution = [zero] * ncols
+    for col, r in pivot_of_col.items():
+        solution[col] = rhs[r]
+    recombined = TestFunction(p, EXACT, {})
+    for coeff, gen in zip(solution, generators):
+        if not coeff.is_zero():
+            recombined = recombined + gen.scaled(coeff)
+    return solution if recombined == target else None
+
+
+def as_float(f):
+    return TestFunction(f.prime, FLOAT,
+                        {idx: c.to_complex() for idx, c in f.terms.items()})
+
+
+# (prime, truncation, draw arguments); sizes keep the dense oracles quick
+ORACLE_DRAWS = {
+    2: (1, dict(max_terms=3, gamma_range=(-1, 1), max_digits=1)),
+    3: (0, dict(max_terms=3, gamma_range=(-1, 1), max_digits=1)),
+    5: (0, dict(max_terms=2, gamma_range=(0, 1), max_digits=0)),
+}
+ORACLE_SEEDS = range(4)
+
+
+def oracle_inputs():
+    """Seeded generic functions and the two-scale function for each prime."""
+    for p, (truncation, kwargs) in ORACLE_DRAWS.items():
+        for seed in ORACLE_SEEDS:
+            rng = random.Random(1000 * p + seed)
+            yield (f"p{p}-seed{seed}", random_generic_function(rng, p, **kwargs),
+                   truncation)
+        yield f"p{p}-two-scale", two_scale_function(p), truncation
+
+
+ORACLE_INPUTS = list(oracle_inputs())
+ORACLE_IDS = [name for name, _, _ in ORACLE_INPUTS]
+
+
+@pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
+def test_gram_equals_dense_oracle(name, f, truncation):
+    spec = stabilizer_spec(f)
+    floaty = as_float(f)
+    for distance in range(1, f.scale_spread() + 2):
+        for g in (f, floaty):
+            sparse = wavelet_space_gram(g, spec, 0, distance, truncation)
+            dense = dense_gram(g, spec, 0, distance, truncation)
+            assert sparse == dense
+            # bit-identical, not merely equal as floats
+            assert sparse.max_abs_entry.hex() == dense.max_abs_entry.hex()
+
+
+@pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
+def test_gram_rows_equal_pairwise_inner_products(name, f, truncation):
+    """Entry by entry: absent entries are zero, present ones equal the
+    pairwise inner product (float ones bit for bit, up to the sign of 0)."""
+    spec = stabilizer_spec(f)
+    for g in (f, as_float(f)):
+        zero = g.field.zero(g.prime)
+        for distance in range(1, f.scale_spread() + 2):
+            gens1 = span_probe(g, spec, 0, truncation).generators
+            gens2 = span_probe(g, spec, distance, truncation).generators
+            rows = list(cross_gram_rows(gens1, gens2))
+            assert len(rows) == len(gens1)
+            for u, row in zip(gens1, rows):
+                assert set(row) <= set(range(len(gens2)))
+                for col, v in enumerate(gens2):
+                    assert row.get(col, zero) == inner_product_symbolic(u, v)
+
+
+def _members(rng, gens, p):
+    """Seeded in-span combinations of one to three generators."""
+    out = []
+    for size in (1, 2, 3):
+        member = TestFunction(p, EXACT, {})
+        for k in rng.sample(range(len(gens)), min(size, len(gens))):
+            member = member + gens[k].scaled(random_cyclo(rng, p))
+        if not member.is_zero():
+            out.append(member)
+    return out
+
+
+@pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
+def test_solve_equals_dense_oracle(name, f, truncation):
+    p = f.prime
+    rng = random.Random(name)
+    spec = stabilizer_spec(f)
+    gens = span_probe(f, spec, 0, truncation).generators
+    members = _members(rng, gens, p)
+    far = TestFunction.single(
+        wavelet_index(f.gamma_min() - 2, Fraction(1, p * p), 1, p))
+    outsiders = [far, members[0] + far]
+    dilated = [act_on_function(affine(p, 0, p), m) for m in members]
+    next_gens = span_probe(f, spec, 1, truncation).generators
+    # rank deficient: a repeated generator and a combination of two others
+    deficient = list(gens) + [gens[0],
+                              gens[0].scaled(random_cyclo(rng, p)) + gens[-1]]
+    cases = ([(gens, m) for m in members] + [(gens, o) for o in outsiders]
+             + [(next_gens, d) for d in dilated]
+             + [(deficient, m) for m in members])
+    for generators, target in cases:
+        sparse = solve_in_span(generators, target)
+        assert sparse == dense_solve(generators, target)
+    for m in members:
+        assert solve_in_span(gens, m) is not None
+        assert solve_in_span(deficient, m) is not None
+    for o in outsiders:
+        assert solve_in_span(gens, o) is None
