@@ -51,6 +51,7 @@ from .frames import (
     orbit_element,
     orbit_index,
     orbit_index_of,
+    orbit_members,
     phase_fix_multiplicity,
     relevant_orbit_indices,
     reparametrize_wavelet_frame,

@@ -129,27 +129,30 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
                 indices.append(frames.OrbitIndex(
                     gamma, CosetRepresentative(p, n_value, 1 - spec.gamma_0), J))
     indices = sorted(indices, key=lambda idx: idx.sort_key)[:_ORBIT_CAP]
+    by_scale: dict[tuple[int, int], list[frames.OrbitIndex]] = {}
+    for idx in indices:
+        by_scale.setdefault((idx.gamma, idx.J), []).append(idx)
     base_nsq = norm_sq(f)
     uniform = True
     round_trip = True
-    seen = []
-    for idx in indices:
-        member = frames.orbit_element(f, spec, idx)
-        member_nsq = norm_sq(member)
-        # equal norms need no subtraction; otherwise the field's residual test
-        if member_nsq != base_nsq and not f.field.residual_is_zero(
-                member_nsq - base_nsq, base_nsq, 1):
-            uniform = False
-        if frames.orbit_index_of(frames.group_element(idx, spec), spec) != idx:
-            round_trip = False
-        seen.append(member)
-    distinct = all(
-        seen[i] != seen[k]
-        for i in range(len(seen)) for k in range(i + 1, len(seen)))
+    # members share prime and mode, so equal term sets mean equal functions
+    seen = set()
+    for (gamma, J), group in by_scale.items():
+        members = frames.orbit_members(
+            f, spec, gamma, J, [idx.n for idx in group])
+        for idx, member in zip(group, members):
+            member_nsq = norm_sq(member)
+            # equal norms need no subtraction; otherwise the field's residual test
+            if member_nsq != base_nsq and not f.field.residual_is_zero(
+                    member_nsq - base_nsq, base_nsq, 1):
+                uniform = False
+            if frames.orbit_index_of(frames.group_element(idx, spec), spec) != idx:
+                round_trip = False
+            seen.add(frozenset(member.terms.items()))
     results = {
         "count": len(indices),
         "uniform_norms": uniform,
-        "pairwise_distinct": distinct,
+        "pairwise_distinct": len(seen) == len(indices),
         "round_trip": round_trip,
     }
     ok = uniform and round_trip

@@ -10,6 +10,12 @@ inverting that index map per term pair yields a provably complete finite set
 of contributing orbit indices, which turns the frame identity into a finite
 exact sum.
 
+Orbit members are built by ``orbit_members``, one call per (gamma, J) for a
+list of translations: within one (gamma, J) the members differ by a
+translation, which in the wavelet basis is a label shift times a p-th root
+of unity, so each member costs a few integer operations per term of f.
+``orbit_element`` is its one-member case.
+
 ``verify_tight_frame`` evaluates that sum either by direct enumeration or by
 a grouped strategy that counts before it multiplies.  An index that carries
 a single term pair (wf, wg) contributes |C_wf|^2 |C_wg|^2 whatever the index
@@ -36,7 +42,7 @@ from .affine import (
     affine,
     in_stabilizer,
 )
-from .errors import EmptyFunctionError, NonGenericError
+from .errors import EmptyFunctionError, NonGenericError, PrimeMismatchError
 from .padic import (
     CosetRepresentative,
     digit_expansion,
@@ -68,16 +74,24 @@ class OrbitIndex:
         return (self.gamma, self.n.value, self.J)
 
 
-def validate_orbit_index(idx: OrbitIndex, spec: StabilizerSpec) -> None:
-    p = spec.prime
-    if idx.n.prime != p:
+def _validate_translation(n: CosetRepresentative, spec: StabilizerSpec) -> None:
+    if n.prime != spec.prime:
         raise ValueError("orbit index prime differs from stabilizer prime")
-    if idx.n.modulus_exponent != 1 - spec.gamma_0:
+    if n.modulus_exponent != 1 - spec.gamma_0:
         raise ValueError(
             f"translation must be reduced modulo p**{1 - spec.gamma_0} Z_p")
-    if not (1 <= idx.J < p**spec.gamma_a) or idx.J % p == 0:
+
+
+def _validate_dilation(J: int, spec: StabilizerSpec) -> None:
+    p = spec.prime
+    if not (1 <= J < p**spec.gamma_a) or J % p == 0:
         raise ValueError(
             f"J must be a unit in [1, p**{spec.gamma_a})")
+
+
+def validate_orbit_index(idx: OrbitIndex, spec: StabilizerSpec) -> None:
+    _validate_translation(idx.n, spec)
+    _validate_dilation(idx.J, spec)
 
 
 def group_element(idx: OrbitIndex, spec: StabilizerSpec) -> AffineElement:
@@ -100,9 +114,91 @@ def dilation_indices(spec: StabilizerSpec) -> list[int]:
     return [J for J in range(1, p**spec.gamma_a) if J % p != 0]
 
 
+def _denominator_exponent(q: Fraction, p: int) -> int:
+    """k with q.denominator == p**k, for q with a p-power denominator."""
+    k, den = 0, q.denominator
+    while den > 1:
+        den //= p
+        k += 1
+    return k
+
+
+def orbit_members(f: TestFunction, spec: StabilizerSpec, gamma: int, J: int,
+                  translations: Sequence[CosetRepresentative]) -> list[TestFunction]:
+    """The orbit members (p**gamma J, p**gamma J n) f for each canonical n in
+    ``translations``, in the order given.
+
+    This is the exact group action, computed by composition.  A term
+    (gamma_i, n_i, j_i) of f is the base wavelet psi moved by its
+    representative (p**-gamma_i j_i^-1, p**-gamma_i n_i), so the element
+    (a, b) = (p**gamma J, p**gamma J n) acts on it as the composite
+    (A, B) = (a p**-gamma_i j_i^-1, b + a p**-gamma_i n_i) acts on psi:
+    scale gamma' = gamma_i - gamma = -v(A), unit j' = j_i J^-1 mod p, and
+    translation
+
+        y = |A|_p B = p**(gamma_i - gamma) (p**gamma J n + p**(gamma - gamma_i) J n_i)
+          = J (n_i + p**gamma_i n).
+
+    The wavelet reads y through its support, which depends on y modulo
+    Z_p only, and through its character chi(j' (p**gamma' x - y) / p).
+    Writing y = {y} + floor(y), with {y} the canonical representative
+    modulo Z_p and floor(y) an integer, the integer part leaves the factor
+    zeta**m with m = -j' floor(y) mod p:
+
+        psi(gamma_i, n_i, j_i) -> zeta**m psi(gamma', {y}, j').
+
+    Along a translation list only n moves, so y is computed on integers
+    over one p**K, with K covering the digits of every n_i and of every
+    p**gamma_i n.  Each distinct target label is built once per call, keyed
+    on (gamma', p**K {y}, j'), each phase is multiplied once per (term, m),
+    and every member keeps the term order of f, as ``act_on_function``
+    does.  J and the translations are validated once, at entry, as
+    ``validate_orbit_index`` would validate each (gamma, n, J).
+    """
+    p = spec.prime
+    for n in translations:
+        _validate_translation(n, spec)
+    _validate_dilation(J, spec)
+    if f.prime != p:
+        raise PrimeMismatchError("mixed primes")
+    field = f.field
+    t = max((_denominator_exponent(n.value, p) for n in translations), default=0)
+    shifts = [n.value.numerator * p**t // n.value.denominator
+              for n in translations]  # n * p**t
+    terms = list(f.terms.items())
+    k = max([0] + [_denominator_exponent(idx.n.value, p) for idx, _ in terms]
+            + [t - idx.gamma for idx, _ in terms])
+    pk = p**k
+    jinv = pow(J, -1, p)
+    # per term: J n_i p**k, J p**(gamma_i + k - t), gamma', j' and its phases
+    kernel = []
+    for idx, c in terms:
+        n_i = idx.n.value
+        base = J * n_i.numerator * (pk // n_i.denominator)
+        step = J * p**(idx.gamma + k - t)
+        kernel.append((base, step, idx.gamma - gamma, idx.j * jinv % p, c, {}))
+    labels: dict[tuple[int, int, int], WaveletIndex] = {}
+    members = []
+    for shift in shifts:
+        out = {}
+        for base, step, scale, j, c, phased in kernel:
+            floor, r = divmod(base + step * shift, pk)
+            target = labels.get((scale, r, j))
+            if target is None:
+                target = labels[scale, r, j] = WaveletIndex(
+                    scale, CosetRepresentative(p, Fraction(r, pk), 0), j)
+            m = -j * floor % p
+            nc = phased.get(m)
+            if nc is None:
+                nc = phased[m] = field.phase(c, m, p)
+            out[target] = out[target] + nc if target in out else nc
+        members.append(TestFunction(p, f.mode, out))
+    return members
+
+
 def orbit_element(f: TestFunction, spec: StabilizerSpec, idx: OrbitIndex) -> TestFunction:
-    """The orbit member at idx, computed by the exact group action."""
-    return act_on_function(group_element(idx, spec), f)
+    """The orbit member at idx: the one-member case of ``orbit_members``."""
+    return orbit_members(f, spec, idx.gamma, idx.J, [idx.n])[0]
 
 
 def orbit_index_of(g: AffineElement, spec: StabilizerSpec,

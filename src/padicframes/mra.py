@@ -10,7 +10,10 @@ carries the generator set at gamma bijectively onto the one at gamma + 1.
 
 Both exact kernels enumerate only nonzero work: the basis is orthonormal,
 so cross-Grams are accumulated over shared wavelet indices only, and span
-membership eliminates on sparse rows.
+membership eliminates on sparse rows.  The generators themselves come from
+``frames.orbit_members``, one call per dilation J along the translation
+grid.  The scaling relation still builds the span at gamma + 1 by the group
+action, not by dilating the span at gamma, so the check is not circular.
 
 Convention: spaces are labelled here by the orbit dilation exponent gamma
 (the group element is (p**gamma J, p**gamma J n)); a label flip gamma -> -gamma
@@ -26,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
 from .errors import ModeMismatchError, SpanError
-from .frames import OrbitIndex, dilation_indices, orbit_element
+from .frames import OrbitIndex, dilation_indices, orbit_members
 from .padic import CosetRepresentative, digit_grid, rational_norm
 from .wavelets import EXACT, Coeff, TestFunction, WaveletIndex
 
@@ -63,16 +66,19 @@ class SpanProbe:
 def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
                truncation: int) -> SpanProbe:
     """Orbit members (p**gamma J, p**gamma J n) f over all J and all n with
-    digit positions down to -truncation."""
+    digit positions down to -truncation, J outer and n in ``digit_grid``
+    order.  The translation grid is built once and each J takes one
+    ``orbit_members`` call, so the members of one J share their target
+    labels and phased coefficients."""
     p = f.prime
     mod_exp = 1 - spec.gamma_0
+    translations = [CosetRepresentative(p, n_value, mod_exp)
+                    for n_value in digit_grid(p, -truncation, mod_exp)]
     gens = []
     labels = []
     for J in dilation_indices(spec):
-        for n_value in digit_grid(p, -truncation, mod_exp):
-            idx = OrbitIndex(gamma, CosetRepresentative(p, n_value, mod_exp), J)
-            labels.append(idx)
-            gens.append(orbit_element(f, spec, idx))
+        gens.extend(orbit_members(f, spec, gamma, J, translations))
+        labels.extend(OrbitIndex(gamma, n, J) for n in translations)
     return SpanProbe(gamma, truncation, tuple(gens), tuple(labels))
 
 

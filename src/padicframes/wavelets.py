@@ -42,21 +42,29 @@ Coeff = Union[CycloNumber, complex]
 
 @dataclass(frozen=True, order=True)
 class WaveletIndex:
-    """Basis label: integer scale gamma, translation n in Q_p/Z_p, unit j."""
+    """Basis label: integer scale gamma, translation n in Q_p/Z_p, unit j.
+
+    Labels key every expansion's term dict, so the hash over the compared
+    fields (gamma, j, sort_key) is computed once, at construction.
+    """
 
     gamma: int
     n: CosetRepresentative = field(compare=False)
     j: int
     sort_key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n.modulus_exponent != 0:
             raise ValueError("translation must be reduced modulo Z_p")
         if not 1 <= self.j <= self.n.prime - 1:
             raise ValueError(f"j must lie in 1..{self.n.prime - 1}")
-        object.__setattr__(
-            self, "sort_key",
-            (self.gamma, self.n.value, self.j))
+        sort_key = (self.gamma, self.n.value, self.j)
+        object.__setattr__(self, "sort_key", sort_key)
+        object.__setattr__(self, "_hash", hash((self.gamma, self.j, sort_key)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def prime(self) -> int:

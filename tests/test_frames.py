@@ -2,7 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbit_strategies import (
+    MODES,
+    PRIMES,
+    assert_same_members,
+    expansions,
+    grid_translations,
+    oracle_member,
+    oracle_members,
+    orbit_spec,
+)
 from padicframes.affine import (
     act_on_function,
     affine,
@@ -12,7 +24,7 @@ from padicframes.affine import (
     stabilizer_spec,
 )
 from padicframes.cyclotomic import CycloNumber
-from padicframes.errors import EmptyFunctionError, NonGenericError
+from padicframes.errors import EmptyFunctionError, NonGenericError, PrimeMismatchError
 from padicframes.frames import (
     OrbitIndex,
     _pair_groups,
@@ -24,13 +36,14 @@ from padicframes.frames import (
     orbit_energy_grouped,
     orbit_index,
     orbit_index_of,
+    orbit_members,
     phase_fix_multiplicity,
     relevant_orbit_indices,
     reparametrize_wavelet_frame,
     run_frame_check,
     verify_tight_frame,
 )
-from padicframes.padic import CosetRepresentative, ppow
+from padicframes.padic import CosetRepresentative, digit_grid, ppow
 from padicframes.sampling import (
     base_wavelet,
     non_generic_example,
@@ -141,6 +154,79 @@ class TestOrbitElements:
             orbit_index(0, 0, 3, spec)  # J divisible by p
         with pytest.raises(ValueError):
             orbit_element(f, spec, OrbitIndex(0, CosetRepresentative(3, Fraction(0), 5), 1))
+
+
+# ---------------------------------------------------------------------------
+# Orbit members along a translation grid, against one group action per member
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orbit_members_equal_group_action(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    mode = data.draw(st.sampled_from(MODES))
+    f = data.draw(expansions(p, mode))
+    spec = orbit_spec(p, data.draw(st.integers(1, 2)), data.draw(st.integers(-2, 2)))
+    gamma = data.draw(st.integers(-2, 2))
+    J = data.draw(st.sampled_from(dilation_indices(spec)))
+    truncation = data.draw(st.integers(0, 2))
+    translations = data.draw(st.lists(
+        grid_translations(p, truncation, 1 - spec.gamma_0), min_size=1, max_size=6))
+    assert_same_members(orbit_members(f, spec, gamma, J, translations),
+                        oracle_members(f, spec, gamma, J, translations))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("mode", MODES)
+def test_orbit_members_on_a_full_grid(p, mode):
+    """Negative scales, a two-digit translation and a j-sibling, listed out
+    of sorted order, over every translation modulo p Z_p with digits down
+    to -2, for the first two J."""
+    n = Fraction(1, p * p) + Fraction(p - 1, p)
+    field = TestFunction(p, mode, {}).field
+    one = field.one(p)
+    terms = {wavelet_index(1, 0, 1, p): one,
+             wavelet_index(-1, n, p - 1, p): field.phase(one, 1, p),
+             wavelet_index(-2, Fraction(1, p), 1, p): field.scale(one, 3)}
+    if p > 2:
+        terms[wavelet_index(-1, n, 1, p)] = field.scale(one, 2)
+    f = TestFunction(p, mode, terms)
+    spec = orbit_spec(p, 1, 0)
+    grid = [CosetRepresentative(p, value, 1) for value in digit_grid(p, -2, 1)]
+    for J in dilation_indices(spec)[:2]:
+        for gamma in (-1, 2):
+            assert_same_members(orbit_members(f, spec, gamma, J, grid),
+                                oracle_members(f, spec, gamma, J, grid))
+
+
+def test_orbit_element_is_the_one_member_case():
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        f = random_test_function(rng, p, max_terms=4)
+        spec = spec_of(f)
+        n = CosetRepresentative(p, ppow(p, -spec.gamma_0), 1 - spec.gamma_0)
+        for J in dilation_indices(spec):
+            idx = OrbitIndex(1, n, J)
+            member = orbit_element(f, spec, idx)
+            assert_same_members([member], [oracle_member(f, spec, idx)])
+            assert orbit_members(f, spec, 1, J, [n, n]) == [member, member]
+
+
+def test_orbit_members_validate_at_entry():
+    f = base_wavelet(3)
+    spec = spec_of(f)
+    zero = CosetRepresentative(3, Fraction(0), 1)
+    assert orbit_members(f, spec, 0, 1, []) == []
+    for J in (0, 3, 3**spec.gamma_a + 1):
+        with pytest.raises(ValueError):
+            orbit_members(f, spec, 0, J, [zero])
+    for bad in (CosetRepresentative(3, Fraction(0), 0),
+                CosetRepresentative(5, Fraction(0), 1)):
+        with pytest.raises(ValueError):
+            orbit_members(f, spec, 0, 1, [zero, bad])
+    with pytest.raises(PrimeMismatchError):
+        orbit_members(base_wavelet(5), spec, 0, 1, [zero])
 
 
 class TestOrbitIndexOf:

@@ -2,10 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbit_strategies import (
+    MODES,
+    PRIMES,
+    assert_same_members,
+    expansions,
+    oracle_member,
+    orbit_spec,
+)
 from padicframes.affine import act_on_function, affine, stabilizer_spec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import SpanError
+from padicframes.frames import OrbitIndex, dilation_indices
 from padicframes.mra import (
     GramSummary,
     cross_gram_rows,
@@ -15,7 +26,7 @@ from padicframes.mra import (
     span_probe,
     wavelet_space_gram,
 )
-from padicframes.padic import CosetRepresentative, ppow
+from padicframes.padic import CosetRepresentative, digit_grid, ppow
 from padicframes.sampling import random_cyclo, random_generic_function
 from padicframes.wavelets import (
     EXACT,
@@ -310,3 +321,54 @@ def test_solve_equals_dense_oracle(name, f, truncation):
         assert solve_in_span(deficient, m) is not None
     for o in outsiders:
         assert solve_in_span(gens, o) is None
+
+
+# ---------------------------------------------------------------------------
+# Slow oracle: span_probe building one AffineElement per member
+# ---------------------------------------------------------------------------
+
+
+def span_probe_oracle(f, spec, gamma, truncation):
+    """Labels and members in span_probe's order, each member built through
+    act_on_function(group_element(idx, spec), f)."""
+    p = f.prime
+    mod_exp = 1 - spec.gamma_0
+    labels = [OrbitIndex(gamma, CosetRepresentative(p, value, mod_exp), J)
+              for J in dilation_indices(spec)
+              for value in digit_grid(p, -truncation, mod_exp)]
+    return labels, [oracle_member(f, spec, idx) for idx in labels]
+
+
+SPAN_MEMBER_CAP = 300  # members per drawn probe, so the oracle stays quick
+
+
+def _grid_exponent_cap(p, gamma_a):
+    """Largest e >= 0 whose (p - 1) p**(gamma_a - 1) p**e members, that is
+    J values times translations, stay within the cap."""
+    def members(e):
+        return (p - 1) * p ** (gamma_a - 1 + e)
+    e = 0
+    while members(e + 1) <= SPAN_MEMBER_CAP:
+        e += 1
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_probe_equals_group_action(data):
+    """Labels, members, term order and float bits against one group action
+    per member, for gamma in [-2, 2], truncation 0..2 and gamma_0 in
+    [-2, 2] as far as the member cap allows."""
+    p = data.draw(st.sampled_from(PRIMES))
+    mode = data.draw(st.sampled_from(MODES))
+    f = data.draw(expansions(p, mode))
+    gamma_a = data.draw(st.integers(1, 2 if _grid_exponent_cap(p, 2) >= 1 else 1))
+    cap = _grid_exponent_cap(p, gamma_a)  # on truncation + 1 - gamma_0
+    gamma_0 = data.draw(st.integers(max(-2, 1 - cap), 2))
+    truncation = data.draw(st.integers(0, min(2, cap - 1 + gamma_0)))
+    spec = orbit_spec(p, gamma_a, gamma_0)
+    gamma = data.draw(st.integers(-2, 2))
+    probe = span_probe(f, spec, gamma, truncation)
+    labels, members = span_probe_oracle(f, spec, gamma, truncation)
+    assert probe.labels == tuple(labels)
+    assert_same_members(probe.generators, members)

@@ -1,4 +1,7 @@
 import cmath
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,12 +9,14 @@ import pytest
 
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import LatticeMismatchError, ModeMismatchError, ResolutionError
+from padicframes.padic import CosetRepresentative
 from padicframes.sampling import random_cyclo, random_test_function
 from padicframes.wavelets import (
     EXACT,
     FLOAT,
     FIELDS,
     TestFunction,
+    WaveletIndex,
     default_lattice,
     evaluate_at,
     inner_product_oracle,
@@ -270,3 +275,28 @@ def test_float_mode_keeps_float_and_complex_types():
     assert type(inner_product_symbolic(f, g)) is complex  # no shared index
     assert inner_product_symbolic(f, f) == 5 + 0j
     assert type(parseval_defect(f)) is float
+
+
+class TestWaveletIndexHash:
+    def test_separately_built_equal_indices_hash_equal(self):
+        a = wavelet_index(-1, Fraction(4, 9), 2, 3)
+        b = WaveletIndex(-1, CosetRepresentative(3, Fraction(8, 18), 0), 2)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_copies_keep_eq_and_hash(self):
+        a = wavelet_index(2, Fraction(5, 49), 4, 7)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+                  dataclasses.replace(a)):
+            assert b == a and hash(b) == hash(a)
+
+    def test_replace_rehashes_the_new_fields(self):
+        a = wavelet_index(2, Fraction(5, 49), 4, 7)
+        for b, expected in (
+                (dataclasses.replace(a, j=1), wavelet_index(2, Fraction(5, 49), 1, 7)),
+                (dataclasses.replace(a, gamma=-1), wavelet_index(-1, Fraction(5, 49), 4, 7)),
+                (dataclasses.replace(a, n=CosetRepresentative(7, Fraction(3, 7), 0)),
+                 wavelet_index(2, Fraction(3, 7), 4, 7))):
+            assert b == expected and hash(b) == hash(expected)
+            assert b != a
