@@ -2,16 +2,19 @@
 
 Group elements (a, b) act by f(x) -> |a|^(-1/2) f((x-b)/a).  The action maps
 a basis wavelet to a p-th root of unity times another basis wavelet, so on
-finite expansions it is computed exactly: an index is carried to the group
-element representing it, composed with the acting element, and the composite
-is classified by the closed-form index map for the base wavelet.  Stabilizers
-of balls, wavelets and generic expansions have closed forms in terms of two
-norm inequalities.  Genericity is certified over a finite digit quotient of
-group elements, one translation class at a time: the action and the closed
-form give the same answer on every cell of a class, and only the few classes
-that carry a minimal-scale term onto a term of the function, or that meet
-the closed-form set, can be invariant or predicted, so only those are
-evaluated (see ``genericity_check``).
+finite expansions it is computed exactly, by one integer kernel: with
+a = p**v u, the label (gamma, n, j) goes to (gamma - v, {y}, j u^-1 mod p)
+times zeta**m, where y = u (n + p**gamma b/a) is read on integers over one
+p-power (see ``_act_terms``).  ``act_on_wavelet``, ``act_on_function`` and
+``frames.orbit_members``, which moves one dilation along many translations,
+all run on that kernel.  Stabilizers of balls, wavelets and generic
+expansions have closed forms in terms of two norm inequalities.  Genericity
+is certified over a finite digit quotient of group elements, one
+translation class at a time: the action and the closed form give the same
+answer on every cell of a class, and only the few classes that carry a
+minimal-scale term onto a term of the function, or that meet the
+closed-form set, can be invariant or predicted, so only those are evaluated
+(see ``genericity_check``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     DepthTooSmallError,
@@ -32,7 +35,6 @@ from .padic import (
     PadicScalar,
     PrimeContext,
     ppow,
-    rational_mod_p,
     rational_norm,
     rational_valuation,
     rep_mod,
@@ -112,31 +114,81 @@ class PhasedWavelet:
 # ---------------------------------------------------------------------------
 
 
-def _classify_base_action(a: Fraction, b: Fraction, p: int):
-    """Index map of the action on the base wavelet: (a, b) acting on
-    psi gives phase m and target (gamma', n', j')."""
-    v = rational_valuation(a, p)
-    gamma = -int(v)
-    absa = ppow(p, gamma)
-    unit = a * absa
-    j = pow(rational_mod_p(unit, p), -1, p)
-    y = absa * b
-    n_value = rep_mod(y, p, 0)
-    m = rational_mod_p(j * (n_value - y), p)
-    return gamma, n_value, j, m
+def _p_part(k: int, p: int) -> tuple[int, int]:
+    """(e, r) with k == p**e * r and r prime to p, for k != 0."""
+    e = 0
+    while k % p == 0:
+        k //= p
+        e += 1
+    return e, k
 
 
-def _act_index(a: Fraction, b: Fraction, idx: WaveletIndex) -> tuple[WaveletIndex, int]:
-    """Exact action on one index, via composition with its representative
-    (p**-gamma j^-1, p**-gamma n), the element carrying the base wavelet onto
-    psi_idx with zero phase."""
-    p = idx.prime
-    jinv = pow(idx.j, -1, p)
-    scale = ppow(p, -idx.gamma)
-    comp_a = a * scale * jinv
-    comp_b = b + a * scale * idx.n.value
-    gamma, n_value, j, m = _classify_base_action(comp_a, comp_b, p)
-    return WaveletIndex(gamma, CosetRepresentative(p, n_value, 0), j), m
+def _act_terms(p: int, a: Fraction, translations: Sequence[Fraction],
+               terms: Sequence[tuple[WaveletIndex, object]],
+               phase: Callable[[object, int], object]) -> list[dict]:
+    """The action of (a, a n) on ``terms``, one {target: value} dict per n
+    in ``translations``, in the order given.
+
+    A term (gamma_i, n_i, j_i) is the base wavelet psi moved by its
+    representative (p**-gamma_i j_i^-1, p**-gamma_i n_i).  Write
+    a = p**v u with u a unit.  The element (a, a n) acts on the term as the
+    composite (A, B) = (a p**-gamma_i j_i^-1, a n + a p**-gamma_i n_i) acts
+    on psi: scale gamma' = gamma_i - v = -v(A), unit j' = j_i u^-1 mod p,
+    and translation
+
+        y = |A|_p B = p**(gamma_i - v) p**v u (n + p**-gamma_i n_i)
+          = u (n_i + p**gamma_i n).
+
+    The wavelet reads y through its support, which depends on y modulo Z_p
+    only, and through its character chi(j' (p**gamma' x - y) / p).  Writing
+    y = {y} + floor(y), with {y} the canonical representative modulo Z_p
+    and floor(y) a p-adic integer, the integer part leaves the factor
+    zeta**m with m = -j' floor(y) mod p:
+
+        psi(gamma_i, n_i, j_i) -> zeta**m psi(gamma', {y}, j').
+
+    So y is computed on integers over one p**K, with K covering the digits
+    of every n_i and of every p**gamma_i n.  {y} needs p**K y modulo p**K
+    and m needs it modulo p**(K + 1), so u and the prime-to-p part of the
+    denominator of n reduce modulo p**(K + 1) through modular inverses.
+    Each distinct target label is built once per call, keyed on
+    (gamma', p**K {y}, j'), ``phase(c, m)`` is called once per (term, m),
+    and each dict folds the phased coefficients in term order.
+    """
+    v = int(rational_valuation(a, p))
+    splits = [_p_part(n.denominator, p) for n in translations]
+    t = max((e for e, _ in splits), default=0)
+    k = max([0] + [_p_part(idx.n.value.denominator, p)[0] for idx, _ in terms]
+            + [t - idx.gamma for idx, _ in terms])
+    pk = p**k
+    u = int(rep_mod(a * ppow(p, -v), p, k + 1))
+    uinv = pow(u, -1, p)
+    shifts = [n.numerator * p**(t - e) * (1 if r == 1 else pow(r, -1, pk * p))
+              for n, (e, r) in zip(translations, splits)]  # n p**t mod p**(K+1)
+    # per term: u n_i p**K, u p**(gamma_i + K - t), gamma', j' and its phases
+    kernel = []
+    for idx, c in terms:
+        n_i = idx.n.value
+        base = u * n_i.numerator * (pk // n_i.denominator)
+        step = u * p**(idx.gamma + k - t)
+        kernel.append((base, step, idx.gamma - v, idx.j * uinv % p, c, {}))
+    labels: dict[tuple[int, int, int], WaveletIndex] = {}
+    outs = []
+    for shift in shifts:
+        out = {}
+        for base, step, scale, j, c, phased in kernel:
+            floor, r = divmod(base + step * shift, pk)
+            target = labels.get((scale, r, j))
+            if target is None:
+                target = labels[scale, r, j] = WaveletIndex(
+                    scale, CosetRepresentative(p, Fraction(r, pk), 0), j)
+            m = -j * floor % p
+            nc = phased.get(m)
+            if nc is None:
+                nc = phased[m] = phase(c, m)
+            out[target] = out[target] + nc if target in out else nc
+        outs.append(out)
+    return outs
 
 
 def act_on_wavelet(g: AffineElement, idx: WaveletIndex) -> PhasedWavelet:
@@ -148,7 +200,9 @@ def act_on_wavelet(g: AffineElement, idx: WaveletIndex) -> PhasedWavelet:
     """
     if g.p != idx.prime:
         raise PrimeMismatchError("mixed primes")
-    target, m = _act_index(g.a.value, g.b.value, idx)
+    a = g.a.value
+    [out] = _act_terms(g.p, a, [g.b.value / a], [(idx, None)], lambda c, m: m)
+    [(target, m)] = out.items()
     return PhasedWavelet(target, m)
 
 
@@ -156,14 +210,10 @@ def act_on_function(g: AffineElement, f: TestFunction) -> TestFunction:
     """Termwise action; phases fold into coefficients, norms are preserved."""
     if g.p != f.prime:
         raise PrimeMismatchError("mixed primes")
-    a, b, p = g.a.value, g.b.value, f.prime
-    field = f.field
-    out = {}
-    for idx, c in f.terms.items():
-        target, m = _act_index(a, b, idx)
-        nc = field.phase(c, m, p)
-        out[target] = out[target] + nc if target in out else nc
-    return TestFunction(f.prime, f.mode, out)
+    a, p, field = g.a.value, f.prime, f.field
+    [out] = _act_terms(p, a, [g.b.value / a], list(f.terms.items()),
+                       lambda c, m: field.phase(c, m, p))
+    return TestFunction(p, f.mode, out)
 
 
 # ---------------------------------------------------------------------------

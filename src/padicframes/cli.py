@@ -9,6 +9,7 @@ check failed, 2 the configuration is invalid.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -121,14 +122,16 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
     f = _require_function(cfg)
     spec = stabilizer_spec(f)
     p = cfg.prime
-    indices = []
     digit_cap = min(cfg.n_digit_bound, 1)
-    for gamma in range(cfg.gamma_min, cfg.gamma_max + 1):
-        for J in frames.dilation_indices(spec):
-            for n_value in digit_grid(p, -digit_cap, 1 - spec.gamma_0):
-                indices.append(frames.OrbitIndex(
-                    gamma, CosetRepresentative(p, n_value, 1 - spec.gamma_0), J))
-    indices = sorted(indices, key=lambda idx: idx.sort_key)[:_ORBIT_CAP]
+    n_values = sorted(digit_grid(p, -digit_cap, 1 - spec.gamma_0))
+    # the first _ORBIT_CAP indices in (gamma, n, J) order, built in that order
+    grid = ((gamma, n_value, J)
+            for gamma in range(cfg.gamma_min, cfg.gamma_max + 1)
+            for n_value in n_values
+            for J in frames.dilation_indices(spec))
+    indices = [
+        frames.OrbitIndex(gamma, CosetRepresentative(p, n_value, 1 - spec.gamma_0), J)
+        for gamma, n_value, J in itertools.islice(grid, _ORBIT_CAP)]
     by_scale: dict[tuple[int, int], list[frames.OrbitIndex]] = {}
     for idx in indices:
         by_scale.setdefault((idx.gamma, idx.J), []).append(idx)

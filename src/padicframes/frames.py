@@ -11,7 +11,8 @@ of contributing orbit indices, which turns the frame identity into a finite
 exact sum.
 
 Orbit members are built by ``orbit_members``, one call per (gamma, J) for a
-list of translations: within one (gamma, J) the members differ by a
+list of translations, on the integer kernel that also computes
+``affine.act_on_function``: within one (gamma, J) the members differ by a
 translation, which in the wavelet basis is a label shift times a p-th root
 of unity, so each member costs a few integer operations per term of f.
 ``orbit_element`` is its one-member case.
@@ -38,6 +39,7 @@ from .affine import (
     AffineElement,
     GenericityVerdict,
     StabilizerSpec,
+    _act_terms,
     act_on_function,
     affine,
     in_stabilizer,
@@ -114,46 +116,19 @@ def dilation_indices(spec: StabilizerSpec) -> list[int]:
     return [J for J in range(1, p**spec.gamma_a) if J % p != 0]
 
 
-def _denominator_exponent(q: Fraction, p: int) -> int:
-    """k with q.denominator == p**k, for q with a p-power denominator."""
-    k, den = 0, q.denominator
-    while den > 1:
-        den //= p
-        k += 1
-    return k
-
-
 def orbit_members(f: TestFunction, spec: StabilizerSpec, gamma: int, J: int,
                   translations: Sequence[CosetRepresentative]) -> list[TestFunction]:
     """The orbit members (p**gamma J, p**gamma J n) f for each canonical n in
     ``translations``, in the order given.
 
-    This is the exact group action, computed by composition.  A term
-    (gamma_i, n_i, j_i) of f is the base wavelet psi moved by its
-    representative (p**-gamma_i j_i^-1, p**-gamma_i n_i), so the element
-    (a, b) = (p**gamma J, p**gamma J n) acts on it as the composite
-    (A, B) = (a p**-gamma_i j_i^-1, b + a p**-gamma_i n_i) acts on psi:
-    scale gamma' = gamma_i - gamma = -v(A), unit j' = j_i J^-1 mod p, and
-    translation
-
-        y = |A|_p B = p**(gamma_i - gamma) (p**gamma J n + p**(gamma - gamma_i) J n_i)
-          = J (n_i + p**gamma_i n).
-
-    The wavelet reads y through its support, which depends on y modulo
-    Z_p only, and through its character chi(j' (p**gamma' x - y) / p).
-    Writing y = {y} + floor(y), with {y} the canonical representative
-    modulo Z_p and floor(y) an integer, the integer part leaves the factor
-    zeta**m with m = -j' floor(y) mod p:
-
-        psi(gamma_i, n_i, j_i) -> zeta**m psi(gamma', {y}, j').
-
-    Along a translation list only n moves, so y is computed on integers
-    over one p**K, with K covering the digits of every n_i and of every
-    p**gamma_i n.  Each distinct target label is built once per call, keyed
-    on (gamma', p**K {y}, j'), each phase is multiplied once per (term, m),
-    and every member keeps the term order of f, as ``act_on_function``
-    does.  J and the translations are validated once, at entry, as
-    ``validate_orbit_index`` would validate each (gamma, n, J).
+    This is the exact group action through the integer kernel of
+    ``affine.act_on_function`` with a = p**gamma J: a term (gamma_i, n_i, j_i)
+    goes to zeta**m psi(gamma_i - gamma, {y}, j') with j' = j_i J^-1 mod p,
+    y = J (n_i + p**gamma_i n) and m = -j' floor(y) mod p.  Along the list
+    only n moves, so each member costs a few integer operations per term of
+    f; target labels and phases are shared across the list.  J and the
+    translations are validated once, at entry, as ``validate_orbit_index``
+    would validate each (gamma, n, J).
     """
     p = spec.prime
     for n in translations:
@@ -162,38 +137,9 @@ def orbit_members(f: TestFunction, spec: StabilizerSpec, gamma: int, J: int,
     if f.prime != p:
         raise PrimeMismatchError("mixed primes")
     field = f.field
-    t = max((_denominator_exponent(n.value, p) for n in translations), default=0)
-    shifts = [n.value.numerator * p**t // n.value.denominator
-              for n in translations]  # n * p**t
-    terms = list(f.terms.items())
-    k = max([0] + [_denominator_exponent(idx.n.value, p) for idx, _ in terms]
-            + [t - idx.gamma for idx, _ in terms])
-    pk = p**k
-    jinv = pow(J, -1, p)
-    # per term: J n_i p**k, J p**(gamma_i + k - t), gamma', j' and its phases
-    kernel = []
-    for idx, c in terms:
-        n_i = idx.n.value
-        base = J * n_i.numerator * (pk // n_i.denominator)
-        step = J * p**(idx.gamma + k - t)
-        kernel.append((base, step, idx.gamma - gamma, idx.j * jinv % p, c, {}))
-    labels: dict[tuple[int, int, int], WaveletIndex] = {}
-    members = []
-    for shift in shifts:
-        out = {}
-        for base, step, scale, j, c, phased in kernel:
-            floor, r = divmod(base + step * shift, pk)
-            target = labels.get((scale, r, j))
-            if target is None:
-                target = labels[scale, r, j] = WaveletIndex(
-                    scale, CosetRepresentative(p, Fraction(r, pk), 0), j)
-            m = -j * floor % p
-            nc = phased.get(m)
-            if nc is None:
-                nc = phased[m] = field.phase(c, m, p)
-            out[target] = out[target] + nc if target in out else nc
-        members.append(TestFunction(p, f.mode, out))
-    return members
+    outs = _act_terms(p, ppow(p, gamma) * J, [n.value for n in translations],
+                      list(f.terms.items()), lambda c, m: field.phase(c, m, p))
+    return [TestFunction(p, f.mode, out) for out in outs]
 
 
 def orbit_element(f: TestFunction, spec: StabilizerSpec, idx: OrbitIndex) -> TestFunction:
@@ -201,8 +147,7 @@ def orbit_element(f: TestFunction, spec: StabilizerSpec, idx: OrbitIndex) -> Tes
     return orbit_members(f, spec, idx.gamma, idx.J, [idx.n])[0]
 
 
-def orbit_index_of(g: AffineElement, spec: StabilizerSpec,
-                   convention: str = "twisted") -> OrbitIndex:
+def orbit_index_of(g: AffineElement, spec: StabilizerSpec) -> OrbitIndex:
     """The unique idx with g in (p**gamma J, p**gamma J n) * G_f.
 
     gamma is the valuation of a and J its unit part modulo p**gamma_a.  The
@@ -211,12 +156,7 @@ def orbit_index_of(g: AffineElement, spec: StabilizerSpec,
     iff n = b/a1 - p**(-gamma_0) n_0 (1 - a0) modulo p**(1 - gamma_0); the
     anchor correction vanishes when |n_0| is small against p**gamma_a but is
     required in general.
-
-    ``convention="plain"`` reads g against the alternative representative
-    family (p**gamma J, p**gamma n).
     """
-    if convention not in ("twisted", "plain"):
-        raise ValueError(f"unknown convention {convention!r}")
     p = spec.prime
     a, b = g.a.value, g.b.value
     gamma = int(rational_valuation(a, p))
@@ -227,10 +167,6 @@ def orbit_index_of(g: AffineElement, spec: StabilizerSpec,
     a0 = a / a1
     anchor = ppow(p, -spec.gamma_0) * spec.n_0.value * (1 - a0)
     n_value = rep_mod(b / a1 - anchor, p, 1 - spec.gamma_0)
-    if convention == "plain":
-        # (p**gamma J, p**gamma J n) f = (p**gamma J, p**gamma n') f for
-        # n' = J n modulo p**(1 - gamma_0).
-        n_value = rep_mod(n_value * J, p, 1 - spec.gamma_0)
     return OrbitIndex(gamma, CosetRepresentative(p, n_value, 1 - spec.gamma_0), J)
 
 

@@ -6,6 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbit_strategies import (
+    MODES,
+    PRIMES,
+    assert_same_members,
+    expansions,
+    rationals,
+    reference_act_on_function,
+    reference_act_on_wavelet,
+)
 import padicframes.affine as affine_module
 from padicframes.affine import (
     act_on_function,
@@ -394,6 +403,21 @@ def test_power_matches_repeated_composition(data):
     for _ in range(abs(k)):
         expected = compose(expected, step)
     assert power(g, k) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_action_matches_fraction_reference(data):
+    """The integer kernel against the Fraction composition path: targets,
+    phases, members, term order and float bits, for rational a != 0 and b
+    with negative values and prime-to-p denominators."""
+    p = data.draw(st.sampled_from(PRIMES))
+    mode = data.draw(st.sampled_from(MODES))
+    f = data.draw(expansions(p, mode))
+    g = affine(data.draw(rationals(p, nonzero=True)), data.draw(rationals(p)), p)
+    assert_same_members([act_on_function(g, f)], [reference_act_on_function(g, f)])
+    for idx in f.terms:
+        assert act_on_wavelet(g, idx) == reference_act_on_wavelet(g, idx)
 
 
 def test_package_attribute_affine_is_the_submodule():

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from padicframes.cli import main
+from padicframes import frames
+from padicframes.affine import stabilizer_spec
+from padicframes.cli import _ORBIT_CAP, main
 from padicframes.io import load_config, parse_function, serialize_function
 from padicframes.errors import ConfigError
+from padicframes.padic import CosetRepresentative, digit_grid
 from padicframes.sampling import non_generic_example
 
 
@@ -90,6 +93,38 @@ class TestAnalysisCommands:
         results = json.loads(out)["results"]
         assert results["uniform_norms"] and results["round_trip"]
         assert results["pairwise_distinct"]
+
+    def test_orbit_indices_are_the_first_of_the_sorted_grid(
+            self, tmp_path, capsys, monkeypatch):
+        """The capped index list is the head of the whole (gamma, J, n) grid
+        sorted by sort_key, as building and sorting the grid would give."""
+        function = [
+            {"gamma": 0, "n": "0", "j": 1, "coeff": {"zeta_powers": [[0, "1"]]}},
+            {"gamma": 0, "n": "1/3", "j": 1, "coeff": {"zeta_powers": [[1, "2"]]}},
+        ]
+        cfg_path = write_config(tmp_path, function=function,
+                                gamma_min=-3, gamma_max=3)
+        built = []
+        members = frames.orbit_members
+
+        def recording(f, spec, gamma, J, translations):
+            built.extend(frames.OrbitIndex(gamma, n, J) for n in translations)
+            return members(f, spec, gamma, J, translations)
+
+        monkeypatch.setattr(frames, "orbit_members", recording)
+        code, out, _ = run_cli(capsys, "--config", cfg_path, "--command", "orbit")
+        assert code == 0
+        f = load_config(json.loads(Path(cfg_path).read_text())).function
+        spec = stabilizer_spec(f)
+        grid = [frames.OrbitIndex(
+                    gamma, CosetRepresentative(3, n_value, 1 - spec.gamma_0), J)
+                for gamma in range(-3, 4)
+                for J in frames.dilation_indices(spec)
+                for n_value in digit_grid(3, -1, 1 - spec.gamma_0)]
+        expected = sorted(grid, key=lambda idx: idx.sort_key)[:_ORBIT_CAP]
+        assert len(grid) > _ORBIT_CAP
+        assert json.loads(out)["results"]["count"] == _ORBIT_CAP
+        assert sorted(built, key=lambda idx: idx.sort_key) == expected
 
     def test_oracle_check(self, tmp_path, capsys):
         cfg = write_config(tmp_path, random_g=6, seed=11)

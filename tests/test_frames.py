@@ -14,6 +14,7 @@ from orbit_strategies import (
     oracle_member,
     oracle_members,
     orbit_spec,
+    reference_act_on_function,
 )
 from padicframes.affine import (
     act_on_function,
@@ -43,7 +44,7 @@ from padicframes.frames import (
     run_frame_check,
     verify_tight_frame,
 )
-from padicframes.padic import CosetRepresentative, digit_grid, ppow
+from padicframes.padic import CosetRepresentative, digit_grid, ppow, rep_mod
 from padicframes.sampling import (
     base_wavelet,
     non_generic_example,
@@ -279,7 +280,7 @@ class TestOrbitIndexOf:
         g = affine(3, 0, 2)
         idx = orbit_index_of(g, spec)
         assert (idx.gamma, idx.n.value, idx.J) == (0, Fraction(1), 1)
-        assert orbit_element(f, spec, idx) == act_on_function(g, f)
+        assert orbit_element(f, spec, idx) == reference_act_on_function(g, f)
 
     def test_decomposition_lands_in_stabilizer(self):
         rng = random.Random(53)
@@ -296,15 +297,18 @@ class TestOrbitIndexOf:
             residual = compose(
                 affine(1 / rep.a.value, -rep.b.value / rep.a.value, p), g)
             assert in_stabilizer(residual, spec)
-            assert orbit_element(f, spec, idx) == act_on_function(g, f)
+            assert orbit_element(f, spec, idx) == reference_act_on_function(g, f)
 
     def test_plain_convention(self):
         f = random_generic_function(random.Random(59), 3, max_terms=2)
         spec = spec_of(f)
         g = affine(15, Fraction(2, 3), 3)
-        idx = orbit_index_of(g, spec, convention="plain")
+        # (p**gamma J, p**gamma J n) f = (p**gamma J, p**gamma n') f for
+        # n' = J n modulo p**(1 - gamma_0)
+        idx = orbit_index_of(g, spec)
+        n_plain = rep_mod(idx.n.value * idx.J, 3, 1 - spec.gamma_0)
         scale = ppow(3, idx.gamma)
-        alt_rep = affine(scale * idx.J, scale * idx.n.value, 3)
+        alt_rep = affine(scale * idx.J, scale * n_plain, 3)
         assert act_on_function(alt_rep, f) == act_on_function(g, f)
 
 

@@ -330,7 +330,7 @@ def test_solve_equals_dense_oracle(name, f, truncation):
 
 def span_probe_oracle(f, spec, gamma, truncation):
     """Labels and members in span_probe's order, each member built through
-    act_on_function(group_element(idx, spec), f)."""
+    reference_act_on_function(group_element(idx, spec), f)."""
     p = f.prime
     mod_exp = 1 - spec.gamma_0
     labels = [OrbitIndex(gamma, CosetRepresentative(p, value, mod_exp), J)
