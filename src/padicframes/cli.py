@@ -3,7 +3,8 @@
 Reports are JSON on standard output (or --output), diagnostics go to
 standard error.  A given (config, seed) pair produces byte-identical output.
 Exit status: 0 all checks passed, 1 an exact-mode residual or a consistency
-check failed, 2 the configuration is invalid.
+check failed, 2 the configuration is invalid or the report cannot be
+written.
 """
 
 from __future__ import annotations
@@ -303,8 +304,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -23,10 +23,17 @@ a single term pair (wf, wg) contributes |C_wf|^2 |C_wg|^2 whatever the index
 (phases are unimodular), so such indices are only counted: an integer
 multiplicity per pair, which covers a whole (gamma, J mod p) group with a
 single pair, for every lift of J at once.  When several pairs collide, their
-solution cosets are walked digit by digit per J, and each cell where pairs
-still collide is evaluated honestly on one representative index through the
-group action.  Each squared coefficient norm is computed once per term.
-Both strategies are exact and are tested against each other.
+solution cosets are walked digit by digit per J on integers: with the
+translations of f and g scaled to numerators N over one p**K, the pair
+(wf, wg) pins the digits of n below -wf.gamma to those of
+B / p**(K + wf.gamma), B = (N_g J^-1 - N_f) mod p**K.  Each cell where
+pairs still collide is evaluated honestly through the group action, all
+cells of one (gamma, J) in one call of the integer kernel on the group's
+terms of f, the only terms that can land on a term of g there.  Each
+squared coefficient norm is computed once per term.  Both strategies are
+exact and are tested against each other, and the grouped one also against
+a ``Fraction`` reference of the same walk.  Both check at entry that f, g
+and the stabilizer spec share one prime and f and g one coefficient mode.
 """
 
 from __future__ import annotations
@@ -44,10 +51,14 @@ from .affine import (
     affine,
     in_stabilizer,
 )
-from .errors import EmptyFunctionError, NonGenericError, PrimeMismatchError
+from .errors import (
+    EmptyFunctionError,
+    ModeMismatchError,
+    NonGenericError,
+    PrimeMismatchError,
+)
 from .padic import (
     CosetRepresentative,
-    digit_expansion,
     digit_grid,
     ppow,
     rational_norm,
@@ -175,23 +186,30 @@ def orbit_index_of(g: AffineElement, spec: StabilizerSpec) -> OrbitIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PairSolution:
-    """Orbit indices carrying one term of f onto one term of g, at fixed
-    (gamma, J): the coset n = base + (free digits at positions
-    -wf.gamma .. -gamma_0)."""
-
-    wf: WaveletIndex
-    wg: WaveletIndex
-    base: Fraction  # digits at positions < -wf.gamma
-
-    def profile_position(self) -> int:
-        return -self.wf.gamma
+def _translation_numerators(f: TestFunction, g: TestFunction):
+    """(K, p**K, {label: n * p**K}) over the terms of f and g, where K is
+    the largest translation-digit count among them."""
+    labels = [*f.terms, *g.terms]
+    k = max(idx.translation_digits() for idx in labels)
+    pk = f.prime**k
+    return k, pk, {idx: idx.n.value.numerator * (pk // idx.n.value.denominator)
+                   for idx in labels}
 
 
-def _pair_base(wf: WaveletIndex, wg: WaveletIndex, J: int, p: int) -> Fraction:
-    target = Fraction(wg.n.value, J) - wf.n.value
-    return rep_mod(ppow(p, -wf.gamma) * target, p, -wf.gamma)
+def _pair_bases(pairs: Sequence[tuple[WaveletIndex, WaveletIndex]],
+                numerators: dict, pk: int, J: int) -> list[int]:
+    """Per pair (wf, wg), the integer B = (N_g J^-1 - N_f) mod p**K: the
+    translations carrying wf onto wg at (gamma, J) are
+    n = B / p**(K + wf.gamma) + (free digits at -wf.gamma .. -gamma_0).
+
+    The orbit element (p**gamma J, p**gamma J n) moves wf to translation
+    J (n_f + p**wf.gamma n) modulo Z_p, which is n_g exactly when
+    p**wf.gamma n = n_g J^-1 - n_f modulo Z_p.  Scaled by p**K, with
+    N = n p**K for the translations of f and g, that condition is integral,
+    so J^-1 is only needed modulo p**K.
+    """
+    jinv = pow(J, -1, pk)
+    return [(numerators[wg] * jinv - numerators[wf]) % pk for wf, wg in pairs]
 
 
 def _pair_groups(f: TestFunction, g: TestFunction):
@@ -217,12 +235,14 @@ def relevant_orbit_indices(f: TestFunction, spec: StabilizerSpec,
     p = f.prime
     out: set[OrbitIndex] = set()
     mod_exp = 1 - spec.gamma_0
+    _, pk, numerators = _translation_numerators(f, g)
     for gamma, by_res in _pair_groups(f, g).items():
         for j_res, pairs in by_res.items():
             for t in range(p ** (spec.gamma_a - 1)):
                 J = j_res + t * p
-                for wf, wg in pairs:
-                    base = _pair_base(wf, wg, J, p)
+                bases = _pair_bases(pairs, numerators, pk, J)
+                for (wf, _), b in zip(pairs, bases):
+                    base = Fraction(b, pk) * ppow(p, -wf.gamma)
                     # free digits at positions -wf.gamma .. -gamma_0
                     for offset in digit_grid(p, -wf.gamma, mod_exp):
                         out.add(OrbitIndex(
@@ -247,97 +267,89 @@ def frame_bound(f: TestFunction, spec: StabilizerSpec):
     return total
 
 
-def _value_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
-                  idx: OrbitIndex):
-    value = inner_product_symbolic(g, orbit_element(f, spec, idx))
-    return f.field.nsq(value)
+def _check_operands(f: TestFunction, spec: StabilizerSpec,
+                    g: TestFunction) -> None:
+    """f, g and spec share one prime, and f and g one coefficient mode."""
+    if spec.prime != f.prime or g.prime != f.prime:
+        raise PrimeMismatchError(
+            f"f, g and the stabilizer spec need one prime: "
+            f"{f.prime}, {g.prime}, {spec.prime}")
+    if g.mode != f.mode:
+        raise ModeMismatchError(
+            f"f and g need one coefficient mode: {f.mode}, {g.mode}")
 
 
 def orbit_energy_direct(f: TestFunction, spec: StabilizerSpec,
                         g: TestFunction):
     """Sum of |<g, orbit member>|^2 by plain enumeration of the finite
     contributing set."""
+    _check_operands(f, spec, g)
     total = f.field.real_zero(f.prime)
     for idx in relevant_orbit_indices(f, spec, g):
-        total = total + _value_energy(f, spec, g, idx)
+        value = inner_product_symbolic(g, orbit_element(f, spec, idx))
+        total = total + f.field.nsq(value)
     return total
 
 
-def _collision_energy(f: TestFunction, spec: StabilizerSpec, g: TestFunction,
-                      gamma: int, J: int, sols: Sequence[_PairSolution],
-                      counts: list[int]):
+def _collision_leaves(p: int, k: int, profiles: Sequence[int],
+                      bases: Sequence[int], top: int, counts: list[int]):
     """Walk the union of solution cosets digit by digit.
 
-    A solution constrains the digits of n below its profile position
-    -wf.gamma and reads exactly one free digit, the one at the profile
-    position (higher digits shift the character argument by p-adic integers
-    times p, leaving both the target index and the phase untouched).  The
-    walk therefore branches only at constrained or profile positions and
-    multiplies a count everywhere else.  Each leaf where several pairs still
-    collide is evaluated honestly via the group action on one representative
-    index, and its energy is returned; a branch left with a single pair
-    sols[i] adds its multiplicity to ``counts[i]`` instead.
+    Pair i pins the digits of n below its profile position
+    profiles[i] = -wf.gamma to those of bases[i] / p**(k - profiles[i]) and
+    reads exactly one free digit, the one at the profile position (higher
+    digits shift the character argument by p-adic integers times p, leaving
+    both the target index and the phase untouched).  The walk therefore
+    branches only at pinned or profile positions and multiplies a count
+    everywhere else, up to position ``top`` = -gamma_0.  A branch left with
+    a single pair i adds its multiplicity to ``counts[i]``; each branch
+    where several pairs still collide becomes a leaf.
+
+    Returns the leaves in walk order as (n, multiplicity), n an integer
+    numerator over p**-lo, and lo.
     """
-    p, field = f.prime, f.field
-    mod_exp = 1 - spec.gamma_0
-    profiles = {i: s.profile_position() for i, s in enumerate(sols)}
-    digit_tables = {i: digit_expansion(s.base, p) for i, s in enumerate(sols)}
-    hi = max(profiles.values())
-    low_candidates = [profiles[i] for i in profiles]
-    for table in digit_tables.values():
-        if table:
-            low_candidates.append(min(table))
-    lo = min(low_candidates)
-    top_mult = p ** (-spec.gamma_0 - hi)
+    hi, low = max(profiles), min(profiles)
+    lo = low - k
+    # pair i pins n to bases[i] p**(profiles[i] - k) below its profile; walk
+    # from the lowest position where a pair pins a nonzero digit, or low
+    pins = [b * p ** (prof - k - lo) for prof, b in zip(profiles, bases)]
+    while lo < low and all(pin % p == 0 for pin in pins):
+        pins = [pin // p for pin in pins]
+        lo += 1
+    leaves = []
 
-    total = field.real_zero(p)
-
-    def leaf(digits: dict[int, int], mult: int):
-        nonlocal total
-        n_value = Fraction(0)
-        for pos, d in digits.items():
-            n_value += d * ppow(p, pos)
-        idx = OrbitIndex(gamma, CosetRepresentative(p, n_value, mod_exp), J)
-        total = total + field.scale(_value_energy(f, spec, g, idx), mult)
-
-    def close_single(i: int, pos: int, mult: int):
-        # One surviving pair: below its profile the digits are pinned, at and
-        # above it every choice yields the same squared inner product.
-        free = hi - max(pos, profiles[i]) + 1
-        counts[i] += mult * p**free
-
-    def walk(pos: int, alive: frozenset, digits: dict[int, int], mult: int):
+    def walk(pos: int, alive: tuple, n: int, unit: int, mult: int):
         if not alive:
             return
         if len(alive) == 1:
-            close_single(next(iter(alive)), pos, mult)
+            # one surviving pair: below its profile the digits are pinned,
+            # at and above it every choice yields the same squared product
+            i = alive[0]
+            counts[i] += mult * p ** (hi - max(pos, profiles[i]) + 1)
             return
         if pos > hi:
-            leaf(digits, mult)
+            leaves.append((n, mult))
             return
-        cons = {i: digit_tables[i].get(pos, 0) for i in alive if pos < profiles[i]}
-        has_profile = any(profiles[i] == pos for i in alive)
-        if has_profile:
+        cons = {i: pins[i] // unit % p for i in alive if pos < profiles[i]}
+        if any(profiles[i] == pos for i in alive):
             for d in range(p):
-                alive2 = frozenset(
-                    i for i in alive if i not in cons or cons[i] == d)
-                walk(pos + 1, alive2, {**digits, pos: d}, mult)
+                walk(pos + 1, tuple(i for i in alive if cons.get(i, d) == d),
+                     n + d * unit, unit * p, mult)
         elif cons:
             required = sorted(set(cons.values()))
             for r in required:
-                alive2 = frozenset(
-                    i for i in alive if i not in cons or cons[i] == r)
-                walk(pos + 1, alive2, {**digits, pos: r}, mult)
-            survivors = frozenset(i for i in alive if i not in cons)
+                walk(pos + 1, tuple(i for i in alive if cons.get(i, r) == r),
+                     n + r * unit, unit * p, mult)
+            survivors = tuple(i for i in alive if i not in cons)
             if survivors and len(required) < p:
                 spare = next(d for d in range(p) if d not in required)
-                walk(pos + 1, survivors, {**digits, pos: spare},
+                walk(pos + 1, survivors, n + spare * unit, unit * p,
                      mult * (p - len(required)))
         else:
-            walk(pos + 1, alive, digits, mult * p)
+            walk(pos + 1, alive, n, unit * p, mult * p)
 
-    walk(lo, frozenset(range(len(sols))), {}, top_mult)
-    return total
+    walk(lo, tuple(range(len(bases))), 0, 1, p ** (top - hi))
+    return leaves, lo
 
 
 def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
@@ -349,30 +361,71 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
     are only counted: a (gamma, J mod p) group with a single pair adds
     p**(wf.gamma - gamma_0 + 1) for each of the p**(gamma_a - 1) values of J
     in the residue class at once, and the collision walk adds its
-    single-pair branches.  Indices where several pairs collide are still
-    evaluated honestly through the group action, per J.  Each squared
-    coefficient norm is computed once, so the result is
+    single-pair branches.
+
+    A group with several pairs is walked per J, on integers: with N = n p**K
+    for the translations of f and g (K their largest digit count), the pair
+    (wf, wg) is solved by the translations
+    n = B / p**(K + wf.gamma) + (free digits at -wf.gamma .. -gamma_0) with
+    B = (N_g J^-1 - N_f) mod p**K (see ``_pair_bases``).  The walk's leaves,
+    where pairs still collide, are evaluated honestly by the group action in
+    one ``affine._act_terms`` call per (gamma, J) over all leaf translations.
+    Only the group's terms of f enter that call: a term wf reaches a term
+    wg at orbit index (gamma, n, J) only if gamma = wf.gamma - wg.gamma and
+    J = wf.j / wg.j mod p (scale and unit of the image do not depend on n),
+    so every term of f that lands on a term of g at this (gamma, J) is in
+    the group.  The action is injective on labels, so leaving the other
+    terms out changes no coefficient that meets g; each leaf's inner
+    product is summed over g's labels in g's order and the leaf energies in
+    walk order, as a full orbit member would give.
+
+    Each squared coefficient norm is computed once, so the result is
     sum(count * |C_wf|^2 |C_wg|^2) plus the honest leaf energies.
     """
+    _check_operands(f, spec, g)
     p, field = f.prime, f.field
     lifts = p ** (spec.gamma_a - 1)  # values of J in one residue class mod p
     g_nsq = {wg: field.nsq(c) for wg, c in g.terms.items()}
     weights = {}  # wf -> sum of count * |C_wg|^2 over the pairs (wf, wg)
-    total = field.real_zero(p)
+    total = zero = field.real_zero(p)
+    numerators = None  # translations over p**K, built at the first collision
+
+    def phase(c, m):
+        return field.phase(c, m, p)
+
     for gamma, by_res in _pair_groups(f, g).items():
         for j_res, pairs in by_res.items():
             if len(pairs) == 1:
                 wf, _ = pairs[0]
                 counts = [p ** (wf.gamma - spec.gamma_0 + 1) * lifts]
             else:
+                if numerators is None:
+                    k, pk, numerators = _translation_numerators(f, g)
                 counts = [0] * len(pairs)
+                profiles = [-wf.gamma for wf, _ in pairs]
+                group_f = {wf for wf, _ in pairs}
+                group_g = {wg for _, wg in pairs}
+                f_terms = [(wf, c) for wf, c in f.terms.items() if wf in group_f]
+                g_terms = [(wg, c) for wg, c in g.terms.items() if wg in group_g]
                 for t in range(lifts):
                     J = j_res + t * p
-                    sols = [
-                        _PairSolution(wf, wg, _pair_base(wf, wg, J, p))
-                        for wf, wg in pairs]
-                    total = total + _collision_energy(
-                        f, spec, g, gamma, J, sols, counts)
+                    leaves, lo = _collision_leaves(
+                        p, k, profiles, _pair_bases(pairs, numerators, pk, J),
+                        -spec.gamma_0, counts)
+                    energy = zero
+                    if leaves:
+                        scale = ppow(p, lo)
+                        members = _act_terms(
+                            p, ppow(p, gamma) * J, [n * scale for n, _ in leaves],
+                            f_terms, phase)
+                        for member, (_, mult) in zip(members, leaves):
+                            value = field.zero(p)
+                            for wg, cg in g_terms:
+                                cm = member.get(wg)
+                                if cm is not None:
+                                    value = value + cg * field.conj(cm)
+                            energy = energy + field.scale(field.nsq(value), mult)
+                    total = total + energy
             for (wf, wg), count in zip(pairs, counts):
                 if count:
                     term = field.scale(g_nsq[wg], count)

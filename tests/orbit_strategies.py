@@ -6,9 +6,13 @@ order, not sorted order.  They include negative scales, two-digit
 translations and, for p > 2, terms that share (gamma, n) but differ in j.
 
 The reference action works on ``Fraction``s by composition, independently of
-the library's integer kernel, and is the oracle for every member test.
+the library's integer kernel, and is the oracle for every member test.  The
+reference frame energy computes the grouped sum of
+``frames.orbit_energy_grouped`` on ``Fraction`` pair bases and digit dicts,
+with one full orbit member of the reference action per colliding leaf.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -18,6 +22,8 @@ from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.frames import OrbitIndex, group_element
 from padicframes.padic import (
     CosetRepresentative,
+    digit_expansion,
+    digit_grid,
     ppow,
     rational_mod_p,
     rational_valuation,
@@ -28,6 +34,7 @@ from padicframes.wavelets import (
     FLOAT,
     TestFunction,
     WaveletIndex,
+    inner_product_symbolic,
     wavelet_index,
 )
 
@@ -166,3 +173,190 @@ def assert_same_members(members, oracle):
         assert list(member.terms) == list(expected.terms)
         assert [coefficient_bits(c) for c in member.terms.values()] \
             == [coefficient_bits(c) for c in expected.terms.values()]
+
+
+# ---------------------------------------------------------------------------
+# Reference frame energy: the Fraction pair bases and the digit-dict walk
+# ---------------------------------------------------------------------------
+
+
+def reference_pair_groups(f, g):
+    """Term pairs by orbit gamma and by the residue of J mod p."""
+    p = f.prime
+    groups = {}
+    for wf in f.terms:
+        for wg in g.terms:
+            gamma = wf.gamma - wg.gamma
+            j_res = (wf.j * pow(wg.j, -1, p)) % p
+            groups.setdefault(gamma, {}).setdefault(j_res, []).append((wf, wg))
+    return groups
+
+
+def reference_pair_base(wf, wg, J, p):
+    """Digits below -wf.gamma of the translations carrying wf onto wg at
+    dilation J: p**-wf.gamma (n_g / J - n_f) modulo p**-wf.gamma."""
+    target = Fraction(wg.n.value, J) - wf.n.value
+    return rep_mod(ppow(p, -wf.gamma) * target, p, -wf.gamma)
+
+
+def reference_relevant_orbit_indices(f, spec, g):
+    """Every (gamma, n, J) carrying some term of f onto some term of g,
+    enumerated pair by pair over all admissible J."""
+    p = f.prime
+    mod_exp = 1 - spec.gamma_0
+    out = set()
+    for wf in f.terms:
+        for wg in g.terms:
+            j_res = wf.j * pow(wg.j, -1, p) % p
+            for J in range(j_res, p**spec.gamma_a, p):
+                base = reference_pair_base(wf, wg, J, p)
+                for offset in digit_grid(p, -wf.gamma, mod_exp):
+                    out.add(OrbitIndex(
+                        wf.gamma - wg.gamma,
+                        CosetRepresentative(p, base + offset, mod_exp), J))
+    return out
+
+
+@dataclass(frozen=True)
+class ReferencePairSolution:
+    """Orbit indices carrying wf onto wg at fixed (gamma, J): the coset
+    n = base + (free digits at positions -wf.gamma .. -gamma_0)."""
+
+    wf: WaveletIndex
+    wg: WaveletIndex
+    base: Fraction  # digits at positions < -wf.gamma
+
+
+def _reference_value_energy(f, spec, g, idx):
+    return f.field.nsq(inner_product_symbolic(g, oracle_member(f, spec, idx)))
+
+
+def _reference_collision_energy(f, spec, g, gamma, J, sols, counts):
+    """Walk the union of solution cosets digit by digit over {pos: digit}
+    dicts; each leaf where pairs still collide is one orbit member of all
+    of f, and a branch left with one pair adds to its count."""
+    p, field = f.prime, f.field
+    mod_exp = 1 - spec.gamma_0
+    profiles = {i: -s.wf.gamma for i, s in enumerate(sols)}
+    digit_tables = {i: digit_expansion(s.base, p) for i, s in enumerate(sols)}
+    hi = max(profiles.values())
+    low_candidates = list(profiles.values())
+    for table in digit_tables.values():
+        if table:
+            low_candidates.append(min(table))
+    lo = min(low_candidates)
+    total = field.real_zero(p)
+
+    def leaf(digits, mult):
+        nonlocal total
+        n_value = Fraction(0)
+        for pos, d in digits.items():
+            n_value += d * ppow(p, pos)
+        idx = OrbitIndex(gamma, CosetRepresentative(p, n_value, mod_exp), J)
+        total = total + field.scale(_reference_value_energy(f, spec, g, idx), mult)
+
+    def walk(pos, alive, digits, mult):
+        if not alive:
+            return
+        if len(alive) == 1:
+            i = next(iter(alive))
+            counts[i] += mult * p ** (hi - max(pos, profiles[i]) + 1)
+            return
+        if pos > hi:
+            leaf(digits, mult)
+            return
+        cons = {i: digit_tables[i].get(pos, 0) for i in alive if pos < profiles[i]}
+        if any(profiles[i] == pos for i in alive):
+            for d in range(p):
+                alive2 = frozenset(i for i in alive if i not in cons or cons[i] == d)
+                walk(pos + 1, alive2, {**digits, pos: d}, mult)
+        elif cons:
+            required = sorted(set(cons.values()))
+            for r in required:
+                alive2 = frozenset(i for i in alive if i not in cons or cons[i] == r)
+                walk(pos + 1, alive2, {**digits, pos: r}, mult)
+            survivors = frozenset(i for i in alive if i not in cons)
+            if survivors and len(required) < p:
+                spare = next(d for d in range(p) if d not in required)
+                walk(pos + 1, survivors, {**digits, pos: spare},
+                     mult * (p - len(required)))
+        else:
+            walk(pos + 1, alive, digits, mult * p)
+
+    walk(lo, frozenset(range(len(sols))), {}, p ** (-spec.gamma_0 - hi))
+    return total
+
+
+def reference_orbit_energy_grouped(f, spec, g):
+    """The grouped frame energy on Fraction pair bases and digit dicts, one
+    full orbit member per colliding leaf, in the summation order of
+    ``frames.orbit_energy_grouped``."""
+    p, field = f.prime, f.field
+    lifts = p ** (spec.gamma_a - 1)
+    g_nsq = {wg: field.nsq(c) for wg, c in g.terms.items()}
+    weights = {}
+    total = field.real_zero(p)
+    for gamma, by_res in reference_pair_groups(f, g).items():
+        for j_res, pairs in by_res.items():
+            if len(pairs) == 1:
+                wf, _ = pairs[0]
+                counts = [p ** (wf.gamma - spec.gamma_0 + 1) * lifts]
+            else:
+                counts = [0] * len(pairs)
+                for t in range(lifts):
+                    J = j_res + t * p
+                    sols = [ReferencePairSolution(wf, wg, reference_pair_base(wf, wg, J, p))
+                            for wf, wg in pairs]
+                    total = total + _reference_collision_energy(
+                        f, spec, g, gamma, J, sols, counts)
+            for (wf, wg), count in zip(pairs, counts):
+                if count:
+                    term = field.scale(g_nsq[wg], count)
+                    weights[wf] = weights[wf] + term if wf in weights else term
+    for wf, weight in weights.items():
+        total = total + field.nsq(f.terms[wf]) * weight
+    return total
+
+
+@st.composite
+def colliding_frame_cases(draw, p, mode):
+    """(f, g) with gamma_a(f) >= 2 and colliding term pairs.
+
+    Two shapes of f force gamma_a >= 2.  Twins: two terms at one scale s
+    with one unit j whose translations differ in their digit at -1, and
+    possibly a third term at scale s, or s + 1 for p < 5 (contributing
+    indices grow as p**(gamma_a - gamma_0 + gamma)); g reuses the first
+    twin's label, possibly more of f's labels, and both twins land on it in
+    one (gamma, J mod p) group.  Distant, for p < 5: a term at scale s and
+    one at s + 2 with a one-digit translation, whose support centers lie
+    p**(s + 3) apart; g reuses both labels, which puts two pairs with
+    profiles two positions apart in one group.  g takes fresh coefficients
+    and possibly one term of its own.
+    """
+    s = draw(st.integers(-1, 1))
+    j = draw(st.integers(1, p - 1))
+    digits = draw(st.lists(st.integers(0, p - 1), max_size=2))
+    n1 = digit_value(p, digits, -len(digits))
+    labels = [wavelet_index(s, n1, j, p)]
+    spread = 1 if p < 5 else 0
+    if p < 5 and draw(st.booleans()):
+        labels.append(wavelet_index(
+            s + 2, Fraction(draw(st.integers(1, p - 1)), p),
+            draw(st.integers(1, p - 1)), p))
+        probe = list(labels)
+    else:
+        n2 = rep_mod(n1 + Fraction(draw(st.integers(1, p - 1)), p), p, 0)
+        labels.append(wavelet_index(s, n2, j, p))
+        if draw(st.booleans()):
+            extra_digits = draw(st.lists(st.integers(0, p - 1), max_size=1))
+            labels.append(wavelet_index(
+                s + draw(st.integers(0, spread)),
+                digit_value(p, extra_digits, -len(extra_digits)),
+                draw(st.integers(1, p - 1)), p))
+        probe = [labels[0]] + [idx for idx in labels[1:] if draw(st.booleans())]
+    f = TestFunction(p, mode, {idx: draw(coefficients(p, mode)) for idx in labels})
+    if draw(st.booleans()):
+        probe.append(wavelet_index(
+            s + draw(st.integers(0, spread)), 0, draw(st.integers(1, p - 1)), p))
+    g = TestFunction(p, mode, {idx: draw(coefficients(p, mode)) for idx in probe})
+    return f, g

@@ -172,6 +172,15 @@ class TestDeterminismAndIo:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["status"] == "ok"
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "--config", cfg, "--command",
+                                 "frame-check", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("output: ") and str(target) in err
+        assert not target.exists()
+
 
 class TestConfigValidation:
     def test_composite_prime_rejected(self, tmp_path, capsys):

@@ -2,19 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbit_strategies import (
     MODES,
     PRIMES,
     assert_same_members,
+    colliding_frame_cases,
     expansions,
     grid_translations,
     oracle_member,
     oracle_members,
     orbit_spec,
     reference_act_on_function,
+    reference_orbit_energy_grouped,
+    reference_relevant_orbit_indices,
 )
 from padicframes.affine import (
     act_on_function,
@@ -25,7 +28,12 @@ from padicframes.affine import (
     stabilizer_spec,
 )
 from padicframes.cyclotomic import CycloNumber
-from padicframes.errors import EmptyFunctionError, NonGenericError, PrimeMismatchError
+from padicframes.errors import (
+    EmptyFunctionError,
+    ModeMismatchError,
+    NonGenericError,
+    PrimeMismatchError,
+)
 from padicframes.frames import (
     OrbitIndex,
     _pair_groups,
@@ -345,6 +353,23 @@ class TestRelevantIndices:
             value = inner_product_symbolic(g, orbit_element(f, spec, idx))
             assert value.is_zero()
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_index_set_equals_fraction_enumeration(self, p):
+        # the integer pair bases give the coset set of the Fraction bases
+        rng = random.Random(6100 + p)
+        gamma_range = (-1, 1) if p < 5 else (0, 0)
+        for case in range(6):
+            f = random_generic_function(rng, p, max_terms=3,
+                                        gamma_range=gamma_range, max_digits=2)
+            if case % 2:
+                g = TestFunction(p, EXACT, {idx: random_cyclo(rng, p) for idx in f.terms})
+            else:
+                g = random_test_function(rng, p, max_terms=3,
+                                         gamma_range=gamma_range, max_digits=2)
+            spec = spec_of(f)
+            assert relevant_orbit_indices(f, spec, g) \
+                == reference_relevant_orbit_indices(f, spec, g)
+
 
 class TestFrameBound:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -555,6 +580,51 @@ class TestReparametrization:
         verdict = genericity_check(f, 3)
         with pytest.raises(NonGenericError):
             reparametrize_wavelet_frame(f, spec, verdict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grouped_energy_equals_fraction_reference_and_direct(data):
+    """The integer collision walk against the Fraction-base digit-dict walk
+    (bit for bit, floats included) and against plain enumeration, on
+    gamma_a >= 2 mothers probed with their own labels."""
+    p = data.draw(st.sampled_from(PRIMES))
+    mode = data.draw(st.sampled_from(MODES))
+    f, g = data.draw(colliding_frame_cases(p, mode))
+    spec = spec_of(f)
+    assert spec.gamma_a >= 2
+    assert has_collision(f, g)
+    assume(index_bound(f, spec, g) <= ORACLE_INDEX_CAP)
+    grouped = orbit_energy_grouped(f, spec, g)
+    reference = reference_orbit_energy_grouped(f, spec, g)
+    direct = orbit_energy_direct(f, spec, g)
+    if mode == EXACT:
+        assert grouped == reference == direct
+    else:
+        assert grouped.hex() == reference.hex()
+        assert f.field.residual_is_zero(grouped - direct, bound=frame_bound(f, spec),
+                                        g_nsq=norm_sq(g))
+
+
+def _mismatched_operands(case):
+    f = base_wavelet(3)
+    if case == "mode":
+        return f, spec_of(f), as_float(f)
+    if case == "prime":
+        return f, spec_of(f), base_wavelet(5)
+    return f, spec_of(base_wavelet(5)), f
+
+
+@pytest.mark.parametrize("method", ["grouped", "direct"])
+@pytest.mark.parametrize("case, error", [
+    ("mode", ModeMismatchError),
+    ("prime", PrimeMismatchError),
+    ("spec prime", PrimeMismatchError),
+])
+def test_mismatched_operands_raise_typed_errors(method, case, error):
+    f, spec, g = _mismatched_operands(case)
+    with pytest.raises(error):
+        verify_tight_frame(f, spec, g, method=method)
 
 
 def test_frame_report_structure():
