@@ -362,8 +362,14 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
 
     The quotient has one cell (a, b) for each unit a modulo p**depth and each
     b = t * p**-w with 0 <= t < p**(depth + w), where w is the translation
-    window: translations beyond it move every support off itself and satisfy
-    neither membership.  Cells are decided a class at a time:
+    window max(0, gamma, D - gamma) over the terms (D translation digits).
+    Translations beyond the window are not enumerated, on the premise that
+    they move some support of f off every support of f.  The premise fails
+    when a support centre p**-gamma * n has norm above p**w, which a term
+    with gamma >= 1 and D >= 1 (centre norm p**(gamma + D)) can reach: a
+    translation outside the window can then fix f although the closed form
+    rejects it, and the verdict misses that violation.  Cells are decided a
+    class at a time:
 
     (i)  Answers are constant on a class.  Each term keeps its scale gamma,
          and its target and phase depend only on y = p**gamma * b + a * n

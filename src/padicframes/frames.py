@@ -49,7 +49,6 @@ from .affine import (
     _act_terms,
     act_on_function,
     affine,
-    in_stabilizer,
 )
 from .errors import (
     EmptyFunctionError,
@@ -89,7 +88,7 @@ class OrbitIndex:
 
 def _validate_translation(n: CosetRepresentative, spec: StabilizerSpec) -> None:
     if n.prime != spec.prime:
-        raise ValueError("orbit index prime differs from stabilizer prime")
+        raise PrimeMismatchError("orbit index prime differs from stabilizer prime")
     if n.modulus_exponent != 1 - spec.gamma_0:
         raise ValueError(
             f"translation must be reduced modulo p**{1 - spec.gamma_0} Z_p")

@@ -21,13 +21,17 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import LatticeMismatchError, ModeMismatchError, ResolutionError
+from .errors import (
+    LatticeMismatchError,
+    ModeMismatchError,
+    PrimeMismatchError,
+    ResolutionError,
+)
 from .padic import (
     CosetRepresentative,
-    digit_grid,
     ppow,
     rational_norm,
     rational_valuation,
@@ -270,7 +274,7 @@ def norm_sq(f: TestFunction):
 def inner_product_symbolic(f: TestFunction, g: TestFunction):
     """<f, g>: linear in the first slot, conjugate-linear in the second."""
     if f.prime != g.prime:
-        raise ModeMismatchError("mixed primes")
+        raise PrimeMismatchError("mixed primes")
     if f.mode != g.mode:
         raise ModeMismatchError("mixed coefficient modes")
     field = f.field
@@ -341,14 +345,14 @@ def required_resolution(f: TestFunction) -> int:
 
 
 def required_support(f: TestFunction) -> int:
-    """Smallest L with every term supported in |x| <= p**L."""
+    """Smallest L with every term supported in |x| <= p**L.
+
+    The term (gamma, n, j) lives on the ball of radius p**gamma around
+    p**-gamma * n, whose norm is p**(gamma + D) when n has D digits.
+    """
     if not f.terms:
         return 0
-    bounds = []
-    for idx in f.terms:
-        center_norm_exp = idx.translation_digits() - idx.gamma
-        bounds.append(max(idx.gamma, center_norm_exp))
-    return max(bounds)
+    return max(idx.gamma + idx.translation_digits() for idx in f.terms)
 
 
 def default_lattice(f: TestFunction) -> tuple[int, int]:
@@ -356,29 +360,53 @@ def default_lattice(f: TestFunction) -> tuple[int, int]:
     return (required_resolution(f) + 1, max(required_support(f), 0))
 
 
-def _term_lattice_points(idx: WaveletIndex, resolution: int) -> Iterable[Fraction]:
-    """Canonical lattice representatives inside the support ball."""
-    p = idx.prime
-    center = idx.support_center()
-    for offset in digit_grid(p, -idx.gamma, resolution):
-        yield rep_mod(center + offset, p, resolution)
-
-
 def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFunction:
-    """Materialize f on a finite coset lattice; exact by local constancy."""
+    """Materialize f on a finite coset lattice; exact by local constancy.
+
+    A term (gamma, n = N / p**D, j) is supported on x = p**-gamma * (n + s)
+    with s = sum d_k p**k over the digit positions 0 .. K + gamma - 1, and
+    these x are already canonical representatives modulo p**K.  With
+    E = max(L, 0) >= gamma + D every x * p**E = N * p**(E - gamma - D)
+    + s * p**(E - gamma) is an integer, and the value there is
+    c * p**(-gamma/2) * zeta**(j * s mod p), which depends on the lowest
+    digit d_0 only.  So the p possible values are computed once per term and
+    each point costs one integer add and one dict update.
+
+    Terms are walked in ``f.terms`` order and s in ``digit_grid`` order (the
+    highest position varying fastest), so every key is inserted and summed
+    in the order of the pointwise evaluation: float sums over ``values``,
+    such as ``inner_product_oracle``, keep their bits.
+    """
     need_k = required_resolution(f)
     if f.terms and resolution < need_k:
         raise ResolutionError("resolution too coarse", need_k)
     need_l = required_support(f)
     if f.terms and support_exponent < need_l:
         raise ResolutionError("support window too small", need_l)
-    values: dict[Fraction, complex] = {}
+    p = f.prime
+    exponent = max(support_exponent, 0)
+    roots = [complex(1)] + [cmath.exp(2j * cmath.pi * (k / p)) for k in range(1, p)]
+    zero = complex(0)
+    sums: dict[int, complex] = {}
     for idx, c in f.terms.items():
         cz = f.field.to_complex(c)
-        for x in _term_lattice_points(idx, resolution):
-            values[x] = values.get(x, complex(0)) + cz * wavelet_eval(idx, x)
-    values = {x: v for x, v in values.items() if v != 0}
-    return SampledFunction(f.prime, resolution, support_exponent, values)
+        amp = p ** (-idx.gamma / 2)
+        step = p ** (exponent - idx.gamma)
+        base = idx.n.value.numerator * (step // idx.n.value.denominator)
+        # offsets of the digits at positions 1 .. K + gamma - 1, in grid order
+        offsets = [0]
+        for k in range(1, resolution + idx.gamma):
+            unit = step * p**k
+            offsets = [o + d * unit for o in offsets for d in range(p)]
+        for d in range(p):  # the lowest digit varies slowest
+            value = cz * (amp * roots[idx.j * d % p])
+            start = base + d * step
+            for o in offsets:
+                x = start + o
+                sums[x] = sums.get(x, zero) + value
+    denominator = p**exponent
+    values = {Fraction(x, denominator): v for x, v in sums.items() if v != 0}
+    return SampledFunction(p, resolution, support_exponent, values)
 
 
 def inner_product_oracle(f: SampledFunction, g: SampledFunction) -> complex:

@@ -10,6 +10,9 @@ the library's integer kernel, and is the oracle for every member test.  The
 reference frame energy computes the grouped sum of
 ``frames.orbit_energy_grouped`` on ``Fraction`` pair bases and digit dicts,
 with one full orbit member of the reference action per colliding leaf.
+The reference sampler evaluates each lattice point of the Haar oracle
+pointwise, on ``Fraction``s, independently of the integer walk of
+``wavelets.sample``.
 """
 
 from dataclasses import dataclass
@@ -32,9 +35,11 @@ from padicframes.padic import (
 from padicframes.wavelets import (
     EXACT,
     FLOAT,
+    SampledFunction,
     TestFunction,
     WaveletIndex,
     inner_product_symbolic,
+    wavelet_eval,
     wavelet_index,
 )
 
@@ -70,12 +75,13 @@ def coefficients(draw, p, mode):
 
 
 @st.composite
-def expansions(draw, p, mode):
-    """Up to four terms with scales in [-2, 2] and translations of up to two
-    digits, each possibly followed by a sibling with the same (gamma, n)."""
+def expansions(draw, p, mode, scales=(-2, 2)):
+    """Up to four terms with scales in ``scales`` (inclusive) and
+    translations of up to two digits, each possibly followed by a sibling
+    with the same (gamma, n)."""
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
-        gamma = draw(st.integers(-2, 2))
+        gamma = draw(st.integers(*scales))
         digits = draw(st.lists(st.integers(0, p - 1), max_size=2))
         n = digit_value(p, digits, -len(digits))
         j = draw(st.integers(1, p - 1))
@@ -360,3 +366,24 @@ def colliding_frame_cases(draw, p, mode):
             s + draw(st.integers(0, spread)), 0, draw(st.integers(1, p - 1)), p))
     g = TestFunction(p, mode, {idx: draw(coefficients(p, mode)) for idx in probe})
     return f, g
+
+
+# ---------------------------------------------------------------------------
+# Reference Haar sampler: one Fraction point and one wavelet_eval per cell
+# ---------------------------------------------------------------------------
+
+
+def reference_sample(f, resolution, support_exponent):
+    """``wavelets.sample`` point by point: each term's support offsets from
+    ``digit_grid``, reduced by ``rep_mod`` and evaluated by ``wavelet_eval``.
+    The lattice is not validated."""
+    p = f.prime
+    values = {}
+    for idx, c in f.terms.items():
+        cz = f.field.to_complex(c)
+        center = idx.support_center()
+        for offset in digit_grid(p, -idx.gamma, resolution):
+            x = rep_mod(center + offset, p, resolution)
+            values[x] = values.get(x, complex(0)) + cz * wavelet_eval(idx, x)
+    values = {x: v for x, v in values.items() if v != 0}
+    return SampledFunction(p, resolution, support_exponent, values)

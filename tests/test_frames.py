@@ -238,6 +238,16 @@ def test_orbit_members_validate_at_entry():
         orbit_members(base_wavelet(5), spec, 0, 1, [zero])
 
 
+def test_translation_at_another_prime_raises_prime_mismatch():
+    f = base_wavelet(3)
+    spec = spec_of(f)
+    foreign = CosetRepresentative(5, Fraction(0), 1)
+    with pytest.raises(PrimeMismatchError):
+        orbit_members(f, spec, 0, 1, [foreign])
+    with pytest.raises(PrimeMismatchError):
+        orbit_element(f, spec, OrbitIndex(0, foreign, 1))
+
+
 class TestOrbitIndexOf:
     def test_identity(self):
         spec = spec_of(base_wavelet(3))

@@ -185,3 +185,15 @@ def test_p5_non_generic_example_at_default_depth():
         assert act_on_function(g, f) == f
     keys = {(g.a.value, g.b.value) for g in verdict.witnesses}
     assert (witness.a.value % p**4, witness.b.value) in keys
+
+
+@pytest.mark.xfail(strict=True, reason="the translation window uses max(gamma, D - gamma), "
+                   "not gamma + D, so translations that fix f go unenumerated")
+def test_translation_beyond_window_that_fixes_f_is_found():
+    # terms (1, 2/3, 1) and (1, 0, 2): the centre 2/9 has norm 3**2, the
+    # window is 1, and the reflection x -> 2/9 - x swaps the two supports
+    f = act_on_function(affine(Fraction(1, 9), Fraction(1, 9), 3), non_generic_example(3, 1)[0])
+    g = affine(-1, Fraction(2, 9), 3)
+    assert act_on_function(g, f) == f
+    assert not in_stabilizer(g, stabilizer_spec(f))
+    assert not genericity_check(f, 3).generic_up_to_depth

@@ -6,11 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbit_strategies import MODES, PRIMES, coefficient_bits, expansions, reference_sample
 from padicframes.cyclotomic import CycloNumber, root_of_unity
-from padicframes.errors import LatticeMismatchError, ModeMismatchError, ResolutionError
-from padicframes.padic import CosetRepresentative
-from padicframes.sampling import random_cyclo, random_test_function
+from padicframes.errors import (
+    LatticeMismatchError,
+    ModeMismatchError,
+    PrimeMismatchError,
+    ResolutionError,
+)
+from padicframes.padic import CosetRepresentative, ppow, rational_norm
+from padicframes.sampling import base_wavelet, random_cyclo, random_test_function
 from padicframes.wavelets import (
     EXACT,
     FLOAT,
@@ -23,6 +31,7 @@ from padicframes.wavelets import (
     inner_product_symbolic,
     norm_sq,
     parseval_defect,
+    required_support,
     sample,
     wavelet_eval,
     wavelet_index,
@@ -88,6 +97,15 @@ class TestSampling:
             sample(f, 2, 0)
         assert err.value.required == 2
 
+    def test_support_counts_translation_digits_above_scale(self):
+        # the centre 3**-1 * 1/3 = 1/9 has norm 3**2
+        f = psi(3, gamma=1, n=Fraction(1, 3))
+        assert required_support(f) == 2
+        assert Fraction(1, 9) in sample(f, *default_lattice(f)).values
+        with pytest.raises(ResolutionError) as err:
+            sample(f, 1, 1)
+        assert err.value.required == 2
+
     def test_refinement_aggregates_exactly(self):
         rng = random.Random(11)
         f = random_test_function(rng, 3, max_terms=4, gamma_range=(-1, 1), max_digits=1)
@@ -126,6 +144,10 @@ class TestSymbolicInnerProducts:
         g = TestFunction(3, FLOAT, {wavelet_index(0, 0, 1, 3): 1 + 0j})
         with pytest.raises(ModeMismatchError):
             inner_product_symbolic(f, g)
+
+    def test_prime_mismatch(self):
+        with pytest.raises(PrimeMismatchError):
+            inner_product_symbolic(base_wavelet(3), base_wavelet(5))
 
     def test_norm_sq_examples(self):
         assert norm_sq(psi(3)) == CycloNumber.one(3)
@@ -174,6 +196,64 @@ class TestOracleAgreement:
         sampled = sample(f, resolution, support)
         for x, v in list(sampled.values.items())[:30]:
             assert abs(evaluate_at(f, x) - v) < 1e-12
+
+
+# Widest scale spread drawn per prime: a term at the top scale has
+# p**(spread + 3) points on the finest drawn lattice.
+SCALE_SPREAD = {2: 4, 3: 3, 5: 1, 7: 1}
+
+
+def _drawn_scales(data, p):
+    """A window of scales inside [-2, 2], at most SCALE_SPREAD[p] wide."""
+    lo = data.draw(st.integers(-2, 2))
+    return (lo, min(2, lo + data.draw(st.integers(0, SCALE_SPREAD[p]))))
+
+
+def _drawn_lattice(data, f, g):
+    """The default lattice covering f and g, or up to one step finer and one
+    step wider.  (f + g may cancel to zero, so it is not asked.)"""
+    resolution, support = map(max, default_lattice(f), default_lattice(g))
+    return (resolution + data.draw(st.integers(0, 1)),
+            support + data.draw(st.integers(0, 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sample_matches_pointwise_reference(data):
+    """The integer walk against one Fraction point and one ``wavelet_eval``
+    per cell: the same keys in the same insertion order, bit-identical
+    values, and bit-identical oracle inner products."""
+    p = data.draw(st.sampled_from(PRIMES))
+    mode = data.draw(st.sampled_from(MODES))
+    scales = _drawn_scales(data, p)
+    f = data.draw(expansions(p, mode, scales))
+    g = data.draw(expansions(p, mode, scales))
+    lattice = _drawn_lattice(data, f, g)
+    sf, sg = sample(f, *lattice), sample(g, *lattice)
+    rf, rg = reference_sample(f, *lattice), reference_sample(g, *lattice)
+    for ours, ref in ((sf, rf), (sg, rg)):
+        assert list(ours.values.items()) == list(ref.values.items())
+        assert [coefficient_bits(v) for v in ours.values.values()] \
+            == [coefficient_bits(v) for v in ref.values.values()]
+    assert coefficient_bits(inner_product_oracle(sf, sg)) \
+        == coefficient_bits(inner_product_oracle(rf, rg))
+    for x, v in sf.values.items():
+        assert abs(evaluate_at(f, x) - v) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sample_keys_lie_in_support_window(data):
+    """Every lattice point with a nonzero value lies in |x| <= p**L at
+    L = required_support(f), for the sampler and the pointwise reference."""
+    p = data.draw(st.sampled_from(PRIMES))
+    f = data.draw(expansions(p, data.draw(st.sampled_from(MODES)), _drawn_scales(data, p)))
+    resolution = default_lattice(f)[0] + data.draw(st.integers(0, 1))
+    support = required_support(f) + data.draw(st.integers(0, 1))
+    bound = ppow(p, support)
+    for sampled in (sample(f, resolution, support), reference_sample(f, resolution, support)):
+        for x in sampled.values:
+            assert rational_norm(x, p) <= bound
 
 
 class TestOrthonormalityGrid:
