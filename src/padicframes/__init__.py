@@ -1,19 +1,7 @@
 """Exact p-adic wavelet frames: affine-group orbits, stabilizers, and
 tight-frame verification over Q(zeta_p)."""
 
-from .padic import (
-    CosetRepresentative,
-    PadicScalar,
-    PrimeContext,
-    coset_representative,
-    fractional_part,
-    invert_mod_pk,
-    mod_p,
-    norm,
-    parse_rational,
-    unit_part,
-    valuation,
-)
+from .padic import CosetRepresentative, PadicScalar, PrimeContext, parse_rational
 from .cyclotomic import CycloNumber, root_of_unity
 from .wavelets import (
     EXACT,

@@ -123,11 +123,18 @@ def _p_part(k: int, p: int) -> tuple[int, int]:
     return e, k
 
 
-def _act_terms(p: int, a: Fraction, translations: Sequence[Fraction],
+def _own_translation(g: AffineElement) -> tuple[int, int, int]:
+    """n = b / a of g = (a, a n), as the triple (N, e, r) of ``_act_terms``."""
+    n = g.b.value / g.a.value
+    return (n.numerator, *_p_part(n.denominator, g.p))
+
+
+def _act_terms(p: int, a: Fraction, translations: Sequence[tuple[int, int, int]],
                terms: Sequence[tuple[WaveletIndex, object]],
                phase: Callable[[object, int], object]) -> list[dict]:
     """The action of (a, a n) on ``terms``, one {target: value} dict per n
-    in ``translations``, in the order given.
+    in ``translations``, in the order given.  Each n comes on integers as
+    (N, e, r) with n = N / (p**e r), e any integer and r prime to p.
 
     A term (gamma_i, n_i, j_i) is the base wavelet psi moved by its
     representative (p**-gamma_i j_i^-1, p**-gamma_i n_i).  Write
@@ -156,20 +163,18 @@ def _act_terms(p: int, a: Fraction, translations: Sequence[Fraction],
     and each dict folds the phased coefficients in term order.
     """
     v = int(rational_valuation(a, p))
-    splits = [_p_part(n.denominator, p) for n in translations]
-    t = max((e for e, _ in splits), default=0)
-    k = max([0] + [_p_part(idx.n.value.denominator, p)[0] for idx, _ in terms]
+    t = max((e for _, e, _ in translations), default=0)
+    k = max([0] + [idx.n.den_exponent for idx, _ in terms]
             + [t - idx.gamma for idx, _ in terms])
     pk = p**k
     u = int(rep_mod(a * ppow(p, -v), p, k + 1))
     uinv = pow(u, -1, p)
-    shifts = [n.numerator * p**(t - e) * (1 if r == 1 else pow(r, -1, pk * p))
-              for n, (e, r) in zip(translations, splits)]  # n p**t mod p**(K+1)
+    shifts = [num * p**(t - e) * (1 if rest == 1 else pow(rest, -1, pk * p))
+              for num, e, rest in translations]  # n p**t mod p**(K+1)
     # per term: u n_i p**K, u p**(gamma_i + K - t), gamma', j' and its phases
     kernel = []
     for idx, c in terms:
-        n_i = idx.n.value
-        base = u * n_i.numerator * (pk // n_i.denominator)
+        base = u * idx.n.numerator_over(k)
         step = u * p**(idx.gamma + k - t)
         kernel.append((base, step, idx.gamma - v, idx.j * uinv % p, c, {}))
     labels: dict[tuple[int, int, int], WaveletIndex] = {}
@@ -181,7 +186,7 @@ def _act_terms(p: int, a: Fraction, translations: Sequence[Fraction],
             target = labels.get((scale, r, j))
             if target is None:
                 target = labels[scale, r, j] = WaveletIndex(
-                    scale, CosetRepresentative(p, Fraction(r, pk), 0), j)
+                    scale, CosetRepresentative(p, r, 0, _den_exponent=k), j)
             m = -j * floor % p
             nc = phased.get(m)
             if nc is None:
@@ -200,8 +205,8 @@ def act_on_wavelet(g: AffineElement, idx: WaveletIndex) -> PhasedWavelet:
     """
     if g.p != idx.prime:
         raise PrimeMismatchError("mixed primes")
-    a = g.a.value
-    [out] = _act_terms(g.p, a, [g.b.value / a], [(idx, None)], lambda c, m: m)
+    [out] = _act_terms(g.p, g.a.value, [_own_translation(g)], [(idx, None)],
+                       lambda c, m: m)
     [(target, m)] = out.items()
     return PhasedWavelet(target, m)
 
@@ -210,8 +215,8 @@ def act_on_function(g: AffineElement, f: TestFunction) -> TestFunction:
     """Termwise action; phases fold into coefficients, norms are preserved."""
     if g.p != f.prime:
         raise PrimeMismatchError("mixed primes")
-    a, p, field = g.a.value, f.prime, f.field
-    [out] = _act_terms(p, a, [g.b.value / a], list(f.terms.items()),
+    p, field = f.prime, f.field
+    [out] = _act_terms(p, g.a.value, [_own_translation(g)], list(f.terms.items()),
                        lambda c, m: field.phase(c, m, p))
     return TestFunction(p, f.mode, out)
 
@@ -408,23 +413,24 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
     b_scale = ppow(p, -window)
     period = p ** (window + 1 - spec.gamma_0)  # t modulo period decides a cell
     step = period // p  # a pinned target fixes t modulo step
-    landings = [idx for idx in f.terms if idx.gamma == spec.gamma_0]
-    idx0 = landings[0]
+    landings = [(idx.j, idx.n.value) for idx in f.terms if idx.gamma == spec.gamma_0]
+    j0, n0 = landings[0]
+    anchor = spec.n_0.value
     witnesses: list[AffineElement] = []
     violations: list[AffineElement] = []
     for a_int in range(1, p**depth):
         if a_int % p == 0:
             continue
         classes = set()
-        j_target = idx0.j * pow(a_int, -1, p) % p
-        for idx in landings:
-            if idx.j != j_target:
+        j_target = j0 * pow(a_int, -1, p) % p
+        for j, n in landings:
+            if j != j_target:
                 continue
-            t = step * (idx.n.value - a_int * idx0.n.value)
+            t = step * (n - a_int * n0)
             if t.denominator == 1:
                 classes.update(range(int(t) % step, period, step))
         if (a_int - 1) % p**spec.gamma_a == 0:
-            t = step * spec.n_0.value * (1 - a_int)
+            t = step * anchor * (1 - a_int)
             if t.denominator == 1:
                 classes.add(int(t) % period)
 

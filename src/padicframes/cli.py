@@ -124,15 +124,17 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
     spec = stabilizer_spec(f)
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 1)
-    n_values = sorted(digit_grid(p, -digit_cap, 1 - spec.gamma_0))
+    mod_exp = 1 - spec.gamma_0
+    nums = sorted(digit_grid(p, -digit_cap, mod_exp))  # n = num / p**digit_cap
     # the first _ORBIT_CAP indices in (gamma, n, J) order, built in that order
-    grid = ((gamma, n_value, J)
+    grid = ((gamma, num, J)
             for gamma in range(cfg.gamma_min, cfg.gamma_max + 1)
-            for n_value in n_values
+            for num in nums
             for J in frames.dilation_indices(spec))
     indices = [
-        frames.OrbitIndex(gamma, CosetRepresentative(p, n_value, 1 - spec.gamma_0), J)
-        for gamma, n_value, J in itertools.islice(grid, _ORBIT_CAP)]
+        frames.OrbitIndex(
+            gamma, CosetRepresentative(p, num, mod_exp, _den_exponent=digit_cap), J)
+        for gamma, num, J in itertools.islice(grid, _ORBIT_CAP)]
     by_scale: dict[tuple[int, int], list[frames.OrbitIndex]] = {}
     for idx in indices:
         by_scale.setdefault((idx.gamma, idx.J), []).append(idx)
@@ -196,16 +198,23 @@ def _cmd_frame_check(cfg: RunConfig) -> tuple[dict, int]:
     return results, (0 if ok else 1)
 
 
+def _oracle_deviation(f1: TestFunction, f2: TestFunction) -> float:
+    """|Haar oracle - symbolic| for <f1, f2>, both sampled on the
+    componentwise larger of their default lattices, which is fine enough
+    for each even when terms of f1 and f2 cancel in f1 + f2."""
+    resolution, support = map(max, default_lattice(f1), default_lattice(f2))
+    oracle = inner_product_oracle(
+        sample(f1, resolution, support), sample(f2, resolution, support))
+    symbolic = f1.field.to_complex(inner_product_symbolic(f1, f2))
+    return abs(oracle - symbolic)
+
+
 def _cmd_oracle_check(cfg: RunConfig) -> tuple[dict, int]:
     count = max(cfg.random_g, 1)
     probes, grid = _random_probes(cfg, 2 * count)
     max_dev = 0.0
     for f1, f2 in zip(probes[::2], probes[1::2]):
-        resolution, support = default_lattice(f1 + f2)
-        oracle = inner_product_oracle(
-            sample(f1, resolution, support), sample(f2, resolution, support))
-        symbolic = f1.field.to_complex(inner_product_symbolic(f1, f2))
-        max_dev = max(max_dev, abs(oracle - symbolic))
+        max_dev = max(max_dev, _oracle_deviation(f1, f2))
     results = {
         "pairs": count,
         "max_abs_deviation": max_dev,
@@ -224,8 +233,8 @@ def _default_mra_function(p: int) -> TestFunction:
 def _cmd_mra_demo(cfg: RunConfig) -> tuple[dict, int]:
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 3)
-    shifts = [CosetRepresentative(p, value, 0)
-              for value in digit_grid(p, -digit_cap, 0)]
+    shifts = [CosetRepresentative(p, num, 0, _den_exponent=digit_cap)
+              for num in digit_grid(p, -digit_cap, 0)]
     gram = mra.scaling_shift_gram(p, shifts)
     gram_identity = all(
         gram[i][k] == (1 if i == k else 0)

@@ -60,7 +60,6 @@ from .padic import (
     CosetRepresentative,
     digit_grid,
     ppow,
-    rational_norm,
     rational_valuation,
     rep_mod,
 )
@@ -147,7 +146,8 @@ def orbit_members(f: TestFunction, spec: StabilizerSpec, gamma: int, J: int,
     if f.prime != p:
         raise PrimeMismatchError("mixed primes")
     field = f.field
-    outs = _act_terms(p, ppow(p, gamma) * J, [n.value for n in translations],
+    outs = _act_terms(p, ppow(p, gamma) * J,
+                      [(n.numerator, n.den_exponent, 1) for n in translations],
                       list(f.terms.items()), lambda c, m: field.phase(c, m, p))
     return [TestFunction(p, f.mode, out) for out in outs]
 
@@ -191,8 +191,7 @@ def _translation_numerators(f: TestFunction, g: TestFunction):
     labels = [*f.terms, *g.terms]
     k = max(idx.translation_digits() for idx in labels)
     pk = f.prime**k
-    return k, pk, {idx: idx.n.value.numerator * (pk // idx.n.value.denominator)
-                   for idx in labels}
+    return k, pk, {idx: idx.n.numerator_over(k) for idx in labels}
 
 
 def _pair_bases(pairs: Sequence[tuple[WaveletIndex, WaveletIndex]],
@@ -234,18 +233,19 @@ def relevant_orbit_indices(f: TestFunction, spec: StabilizerSpec,
     p = f.prime
     out: set[OrbitIndex] = set()
     mod_exp = 1 - spec.gamma_0
-    _, pk, numerators = _translation_numerators(f, g)
+    k, pk, numerators = _translation_numerators(f, g)
     for gamma, by_res in _pair_groups(f, g).items():
         for j_res, pairs in by_res.items():
             for t in range(p ** (spec.gamma_a - 1)):
                 J = j_res + t * p
                 bases = _pair_bases(pairs, numerators, pk, J)
                 for (wf, _), b in zip(pairs, bases):
-                    base = Fraction(b, pk) * ppow(p, -wf.gamma)
-                    # free digits at positions -wf.gamma .. -gamma_0
+                    # n = (b + o p**K) / p**(K + wf.gamma), with o the free
+                    # digits at positions -wf.gamma .. -gamma_0
                     for offset in digit_grid(p, -wf.gamma, mod_exp):
-                        out.add(OrbitIndex(
-                            gamma, CosetRepresentative(p, base + offset, mod_exp), J))
+                        n = CosetRepresentative(p, b + offset * pk, mod_exp,
+                                                _den_exponent=k + wf.gamma)
+                        out.add(OrbitIndex(gamma, n, J))
     return out
 
 
@@ -411,19 +411,19 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
                     leaves, lo = _collision_leaves(
                         p, k, profiles, _pair_bases(pairs, numerators, pk, J),
                         -spec.gamma_0, counts)
+                    if not leaves:
+                        continue
+                    members = _act_terms(
+                        p, ppow(p, gamma) * J, [(n, -lo, 1) for n, _ in leaves],
+                        f_terms, phase)
                     energy = zero
-                    if leaves:
-                        scale = ppow(p, lo)
-                        members = _act_terms(
-                            p, ppow(p, gamma) * J, [n * scale for n, _ in leaves],
-                            f_terms, phase)
-                        for member, (_, mult) in zip(members, leaves):
-                            value = field.zero(p)
-                            for wg, cg in g_terms:
-                                cm = member.get(wg)
-                                if cm is not None:
-                                    value = value + cg * field.conj(cm)
-                            energy = energy + field.scale(field.nsq(value), mult)
+                    for member, (_, mult) in zip(members, leaves):
+                        value = field.zero(p)
+                        for wg, cg in g_terms:
+                            cm = member.get(wg)
+                            if cm is not None:
+                                value = value + cg * field.conj(cm)
+                        energy = energy + field.scale(field.nsq(value), mult)
                     total = total + energy
             for (wf, wg), count in zip(pairs, counts):
                 if count:
@@ -461,17 +461,24 @@ def phase_fix_multiplicity(gamma1: int, n1: CosetRepresentative,
     a root of unity: |J p**gamma1 n - (1 - J) n1|_p <= 1.
 
     Candidates beyond the enumerated digit window fail the inequality on
-    norm grounds alone, so the window is complete.
+    norm grounds alone, so the window is complete.  With n = N p**-window
+    from the grid and n1 = N1 p**-D1, the left side times p**m,
+    m = max(window - gamma1, D1), is the integer
+    J N p**(m - window + gamma1) - (1 - J) N1 p**(m - D1), and the
+    inequality says that p**m divides it.
     """
     p = spec.prime
-    delta1 = 0 if n1.value == 0 else -int(rational_valuation(n1.value, p))
-    window = max(0, gamma1 + max(0, delta1))
+    window = max(0, gamma1 + n1.den_exponent)
+    m = max(window - gamma1, n1.den_exponent)
+    pm = p**m
+    grid_scale = p ** (m - window + gamma1)
+    anchor = n1.numerator_over(m)
     count = 0
     for t in range(p ** (spec.gamma_a - 1)):
         J = 1 + t * p
-        for n_value in digit_grid(p, -window, 1 - spec.gamma_0):
-            lhs = J * ppow(p, gamma1) * n_value - (1 - J) * n1.value
-            if rational_norm(lhs, p) <= 1:
+        lhs_n, lhs_1 = J * grid_scale, (1 - J) * anchor
+        for num in digit_grid(p, -window, 1 - spec.gamma_0):
+            if (lhs_n * num - lhs_1) % pm == 0:
                 count += 1
     return count
 

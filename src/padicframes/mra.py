@@ -72,8 +72,8 @@ def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
     labels and phased coefficients."""
     p = f.prime
     mod_exp = 1 - spec.gamma_0
-    translations = [CosetRepresentative(p, n_value, mod_exp)
-                    for n_value in digit_grid(p, -truncation, mod_exp)]
+    translations = [CosetRepresentative(p, num, mod_exp, _den_exponent=truncation)
+                    for num in digit_grid(p, -truncation, mod_exp)]
     gens = []
     labels = []
     for J in dilation_indices(spec):

@@ -1,24 +1,25 @@
 """Exact p-adic arithmetic over the rationals.
 
 Scalars are exact ``fractions.Fraction`` values read p-adically under a fixed
-prime context.  Valuations, norms and canonical coset representatives are all
-computed without rounding; operations that need a terminating digit expansion
-demand a p-power denominator and raise :class:`NotPIntegralError` otherwise.
+prime.  Valuations, norms and canonical representatives are all computed
+without rounding, by plain functions on ``(Fraction, p)`` pairs.
 
-Two layers are exposed: plain functions on ``(Fraction, p)`` pairs (used
-internally by the heavier modules) and the :class:`PadicScalar` wrapper API.
+A translation in Q_p / p**k Z_p is a :class:`CosetRepresentative`, stored on
+integers as N / p**D.  It is checked once, at its public constructor, which
+raises :class:`NotPIntegralError` for a denominator that is not a power of p;
+the integer kernels of the other modules read and build it directly, and
+``digit_grid`` walks digit strings as integer numerators over one p-power.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
-from .errors import NonUnitError, NotPIntegralError, PrimeMismatchError
+from .errors import NonUnitError, NotPIntegralError
 
 Valuation = Union[int, float]  # float only for math.inf at zero
 
@@ -80,20 +81,6 @@ def rational_norm(q: Fraction, p: int) -> Fraction:
     return ppow(p, -rational_valuation(q, p))
 
 
-def rational_unit_part(q: Fraction, p: int) -> Fraction:
-    """q * |q|_p, the norm-1 cofactor of p**valuation."""
-    if q == 0:
-        raise NonUnitError("zero has no unit part")
-    return q * rational_norm(q, p)
-
-
-def has_p_power_denominator(q: Fraction, p: int) -> bool:
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 def rep_mod(q: Fraction, p: int, k: int) -> Fraction:
     """Canonical representative of q modulo p**k Z_p, for any rational q.
 
@@ -125,36 +112,35 @@ def rational_mod_p(q: Fraction, p: int) -> int:
     return (q.numerator * pow(q.denominator, -1, p)) % p
 
 
-def digit_expansion(q: Fraction, p: int) -> dict[int, int]:
-    """Digits {exponent: digit} of a rational with a p-power denominator
-    and finitely many digits (i.e. a canonical coset representative)."""
+def digit_expansion(numerator: int, den_exponent: int, p: int) -> dict[int, int]:
+    """Nonzero digits {exponent: digit} of numerator / p**den_exponent, for
+    a numerator >= 0."""
     digits: dict[int, int] = {}
-    if q == 0:
-        return digits
-    v = rational_valuation(q, p)
-    m = int(q * ppow(p, -v))
-    pos = v
-    while m:
-        m, r = divmod(m, p)
+    pos = -den_exponent
+    while numerator:
+        numerator, r = divmod(numerator, p)
         if r:
             digits[pos] = r
         pos += 1
     return digits
 
 
-def digit_grid(p: int, lo: int, hi: int) -> Iterator[Fraction]:
-    """The value sum d_k p**k of every digit string (d_lo, ..., d_(hi-1)).
+def digit_grid(p: int, lo: int, hi: int) -> Iterator[int]:
+    """Every digit string (d_lo, ..., d_(hi-1)) as the integer numerator N of
+    its value N * p**lo = sum d_k p**k.
 
     Strings come in ``itertools.product`` order, the highest position varying
-    fastest; an empty window (hi <= lo) yields the single value 0.
+    fastest; an empty window (hi <= lo) yields the single numerator 0.
     """
-    unit = ppow(p, lo)
-    for digits in itertools.product(range(p), repeat=max(hi - lo, 0)):
-        yield unit * sum(d * p**k for k, d in enumerate(digits))
+    grid = [0]
+    for k in range(hi - lo):
+        unit = p**k
+        grid = [n + d * unit for n in grid for d in range(p)]
+    yield from grid
 
 
 # ---------------------------------------------------------------------------
-# Public wrapper types and operations
+# Value types
 # ---------------------------------------------------------------------------
 
 
@@ -186,107 +172,77 @@ class PadicScalar:
     def p(self) -> int:
         return self.context.p
 
-    def _check(self, other: "PadicScalar") -> None:
-        if self.context != other.context:
-            raise PrimeMismatchError(
-                f"mixed primes {self.p} and {other.p}")
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value + other.value, self.context)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value - other.value, self.context)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value * other.value, self.context)
-
-    def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar(self.value / other.value, self.context)
-
-    def __neg__(self) -> "PadicScalar":
-        return PadicScalar(-self.value, self.context)
-
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CosetRepresentative:
-    """Canonical transversal element of Q_p / p**k Z_p.
+    """Canonical transversal element of Q_p / p**k Z_p, k = ``modulus_exponent``.
 
-    ``value`` is a finite digit sum over exponents < ``modulus_exponent``;
-    equivalently value == 0 or |value|_p > p**(-modulus_exponent).
+    The value is a finite digit sum over exponents < k, stored on integers as
+    ``numerator`` / p**``den_exponent`` in lowest terms: den_exponent >= 0,
+    p does not divide the numerator when den_exponent > 0, and
+    0 <= numerator < p**(den_exponent + k).
+
+    ``CosetRepresentative(p, value, k)`` takes a rational value and checks
+    that p is prime and the value canonical.  The keyword ``_den_exponent``
+    is internal: with it, ``value`` is an integer numerator over
+    p**_den_exponent (any integer exponent) whose value is already canonical
+    modulo p**k, and it is only brought to lowest terms.
     """
 
     prime: int
-    value: Fraction
+    numerator: int
+    den_exponent: int
     modulus_exponent: int
 
-    def __post_init__(self):
-        if not has_p_power_denominator(self.value, self.prime):
-            raise NotPIntegralError(
-                f"not p-integral denominator: {self.value}")
-        if rep_mod(self.value, self.prime, self.modulus_exponent) != self.value:
-            raise ValueError(
-                f"{self.value} is not a canonical representative modulo "
-                f"p**{self.modulus_exponent}")
+    def __init__(self, prime: int, value: Union[int, Fraction],
+                 modulus_exponent: int, *, _den_exponent: Optional[int] = None):
+        if _den_exponent is None:
+            if not is_prime(prime):
+                raise ValueError(f"not a prime: {prime}")
+            num, den, d = value.numerator, value.denominator, 0
+            while den % prime == 0:
+                den //= prime
+                d += 1
+            if den != 1:
+                raise NotPIntegralError(f"not p-integral denominator: {value}")
+            if num and not 0 < num < prime ** max(d + modulus_exponent, 0):
+                raise ValueError(
+                    f"{value} is not a canonical representative modulo "
+                    f"p**{modulus_exponent}")
+        else:
+            num, d = value, _den_exponent
+            if d < 0:
+                num, d = num * prime**-d, 0
+            while d and num % prime == 0:
+                num //= prime
+                d -= 1
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "den_exponent", d)
+        object.__setattr__(self, "modulus_exponent", modulus_exponent)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, self.prime**self.den_exponent)
+
+    def numerator_over(self, k: int) -> int:
+        """The integer value * p**k, for k >= den_exponent."""
+        return self.numerator * self.prime ** (k - self.den_exponent)
 
     def digits(self) -> dict[int, int]:
-        return digit_expansion(self.value, self.prime)
+        return digit_expansion(self.numerator, self.den_exponent, self.prime)
 
-    def norm(self) -> Fraction:
-        return rational_norm(self.value, self.prime)
+    def __hash__(self) -> int:
+        # the hash of the rational tuple, whatever the stored form, so sets
+        # of orbit indices (and float sums over them) keep their order
+        return hash((self.prime, self.value, self.modulus_exponent))
+
+    def __repr__(self) -> str:
+        return (f"CosetRepresentative(prime={self.prime!r}, value={self.value!r}, "
+                f"modulus_exponent={self.modulus_exponent!r})")
 
     def __str__(self) -> str:
         return str(self.value)
-
-
-def valuation(x: PadicScalar) -> Valuation:
-    """Largest gamma with x = p**gamma * (unit); math.inf for zero."""
-    return rational_valuation(x.value, x.p)
-
-
-def norm(x: PadicScalar) -> Fraction:
-    """p-adic absolute value, an exact nonnegative rational."""
-    return rational_norm(x.value, x.p)
-
-
-def unit_part(x: PadicScalar) -> PadicScalar:
-    """x * |x|_p; always has norm exactly 1."""
-    return PadicScalar(rational_unit_part(x.value, x.p), x.context)
-
-
-def _require_p_power_denominator(x: PadicScalar) -> None:
-    if not has_p_power_denominator(x.value, x.p):
-        raise NotPIntegralError(f"not p-integral denominator: {x.value}")
-
-
-def fractional_part(x: PadicScalar) -> CosetRepresentative:
-    """Canonical representative of x modulo Z_p (digits at exponents < 0)."""
-    _require_p_power_denominator(x)
-    return CosetRepresentative(x.p, rep_mod(x.value, x.p, 0), 0)
-
-
-def coset_representative(x: PadicScalar, k: int) -> CosetRepresentative:
-    """Canonical representative of x modulo p**k Z_p."""
-    _require_p_power_denominator(x)
-    return CosetRepresentative(x.p, rep_mod(x.value, x.p, k), k)
-
-
-def mod_p(x: PadicScalar) -> int:
-    """Digit at exponent 0: the residue of a p-adic integer mod p."""
-    return rational_mod_p(x.value, x.p)
-
-
-def invert_mod_pk(x: PadicScalar, k: int) -> int:
-    """Integer y in [0, p**k) with x*y = 1 mod p**k; x must be a unit."""
-    if rational_norm(x.value, x.p) != 1:
-        raise NonUnitError(f"not a p-adic unit: {x.value}")
-    if k <= 0:
-        return 0
-    modulus = x.p**k
-    return (pow(x.value.numerator, -1, modulus) * x.value.denominator) % modulus

@@ -30,13 +30,7 @@ from .errors import (
     PrimeMismatchError,
     ResolutionError,
 )
-from .padic import (
-    CosetRepresentative,
-    ppow,
-    rational_norm,
-    rational_valuation,
-    rep_mod,
-)
+from .padic import CosetRepresentative, digit_grid, ppow, rational_norm, rep_mod
 
 EXACT = "exact"
 FLOAT = "float"
@@ -79,8 +73,7 @@ class WaveletIndex:
 
     def translation_digits(self) -> int:
         """Number of base-p digit positions below zero used by n."""
-        v = rational_valuation(self.n.value, self.prime)
-        return 0 if self.n.value == 0 else -int(v)
+        return self.n.den_exponent
 
     def __str__(self) -> str:
         return f"(gamma={self.gamma}, n={self.n.value}, j={self.j})"
@@ -392,12 +385,9 @@ def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFu
         cz = f.field.to_complex(c)
         amp = p ** (-idx.gamma / 2)
         step = p ** (exponent - idx.gamma)
-        base = idx.n.value.numerator * (step // idx.n.value.denominator)
+        base = idx.n.numerator_over(exponent - idx.gamma)
         # offsets of the digits at positions 1 .. K + gamma - 1, in grid order
-        offsets = [0]
-        for k in range(1, resolution + idx.gamma):
-            unit = step * p**k
-            offsets = [o + d * unit for o in offsets for d in range(p)]
+        offsets = [o * step * p for o in digit_grid(p, 1, resolution + idx.gamma)]
         for d in range(p):  # the lowest digit varies slowest
             value = cz * (amp * roots[idx.j * d % p])
             start = base + d * step

@@ -12,9 +12,12 @@ reference frame energy computes the grouped sum of
 with one full orbit member of the reference action per colliding leaf.
 The reference sampler evaluates each lattice point of the Haar oracle
 pointwise, on ``Fraction``s, independently of the integer walk of
-``wavelets.sample``.
+``wavelets.sample``.  The ``fraction_*`` oracles are the ``Fraction`` forms
+of the padic layer that the integer translation format replaced: the
+canonicity check, the digit grid and the digit expansion.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,10 +26,9 @@ from hypothesis import strategies as st
 from padicframes.affine import PhasedWavelet, StabilizerSpec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.frames import OrbitIndex, group_element
+from padicframes.errors import NotPIntegralError
 from padicframes.padic import (
     CosetRepresentative,
-    digit_expansion,
-    digit_grid,
     ppow,
     rational_mod_p,
     rational_valuation,
@@ -45,6 +47,49 @@ from padicframes.wavelets import (
 
 PRIMES = (2, 3, 5, 7)
 MODES = (EXACT, FLOAT)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles of the padic layer
+# ---------------------------------------------------------------------------
+
+
+def fraction_check_canonical(p, value, k):
+    """The ``Fraction`` canonicity check of a representative modulo p**k:
+    NotPIntegralError when the denominator is not a power of p, ValueError
+    when the value is not its own canonical representative."""
+    den = value.denominator
+    while den % p == 0:
+        den //= p
+    if den != 1:
+        raise NotPIntegralError(f"not p-integral denominator: {value}")
+    if rep_mod(value, p, k) != value:
+        raise ValueError(f"{value} is not a canonical representative modulo p**{k}")
+
+
+def fraction_digit_grid(p, lo, hi):
+    """The value sum d_k p**k of every digit string (d_lo, ..., d_(hi-1)),
+    in ``itertools.product`` order (the highest position varying fastest)."""
+    unit = ppow(p, lo)
+    for digits in itertools.product(range(p), repeat=max(hi - lo, 0)):
+        yield unit * sum(d * p**k for k, d in enumerate(digits))
+
+
+def fraction_digit_expansion(q, p):
+    """Digits {exponent: digit} of a canonical representative q, read off
+    after dividing out its valuation."""
+    digits = {}
+    if q == 0:
+        return digits
+    v = rational_valuation(q, p)
+    m = int(q * ppow(p, -v))
+    pos = v
+    while m:
+        m, r = divmod(m, p)
+        if r:
+            digits[pos] = r
+        pos += 1
+    return digits
 
 
 def digit_value(p, digits, lo):
@@ -216,7 +261,7 @@ def reference_relevant_orbit_indices(f, spec, g):
             j_res = wf.j * pow(wg.j, -1, p) % p
             for J in range(j_res, p**spec.gamma_a, p):
                 base = reference_pair_base(wf, wg, J, p)
-                for offset in digit_grid(p, -wf.gamma, mod_exp):
+                for offset in fraction_digit_grid(p, -wf.gamma, mod_exp):
                     out.add(OrbitIndex(
                         wf.gamma - wg.gamma,
                         CosetRepresentative(p, base + offset, mod_exp), J))
@@ -244,7 +289,7 @@ def _reference_collision_energy(f, spec, g, gamma, J, sols, counts):
     p, field = f.prime, f.field
     mod_exp = 1 - spec.gamma_0
     profiles = {i: -s.wf.gamma for i, s in enumerate(sols)}
-    digit_tables = {i: digit_expansion(s.base, p) for i, s in enumerate(sols)}
+    digit_tables = {i: fraction_digit_expansion(s.base, p) for i, s in enumerate(sols)}
     hi = max(profiles.values())
     low_candidates = list(profiles.values())
     for table in digit_tables.values():
@@ -375,14 +420,15 @@ def colliding_frame_cases(draw, p, mode):
 
 def reference_sample(f, resolution, support_exponent):
     """``wavelets.sample`` point by point: each term's support offsets from
-    ``digit_grid``, reduced by ``rep_mod`` and evaluated by ``wavelet_eval``.
+    ``fraction_digit_grid``, reduced by ``rep_mod`` and evaluated by
+    ``wavelet_eval``.
     The lattice is not validated."""
     p = f.prime
     values = {}
     for idx, c in f.terms.items():
         cz = f.field.to_complex(c)
         center = idx.support_center()
-        for offset in digit_grid(p, -idx.gamma, resolution):
+        for offset in fraction_digit_grid(p, -idx.gamma, resolution):
             x = rep_mod(center + offset, p, resolution)
             values[x] = values.get(x, complex(0)) + cz * wavelet_eval(idx, x)
     values = {x: v for x, v in values.items() if v != 0}

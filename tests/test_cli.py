@@ -4,13 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from orbit_strategies import fraction_digit_grid
 from padicframes import frames
 from padicframes.affine import stabilizer_spec
-from padicframes.cli import _ORBIT_CAP, main
+from padicframes.cli import _ORBIT_CAP, _oracle_deviation, main
+from padicframes.cyclotomic import CycloNumber
 from padicframes.io import load_config, parse_function, serialize_function
-from padicframes.errors import ConfigError
-from padicframes.padic import CosetRepresentative, digit_grid
+from padicframes.errors import ConfigError, ResolutionError
+from padicframes.padic import CosetRepresentative
 from padicframes.sampling import non_generic_example
+from padicframes.wavelets import TestFunction, default_lattice, sample, wavelet_index
 
 
 BASE_WAVELET_TERMS = [
@@ -120,7 +123,7 @@ class TestAnalysisCommands:
                     gamma, CosetRepresentative(3, n_value, 1 - spec.gamma_0), J)
                 for gamma in range(-3, 4)
                 for J in frames.dilation_indices(spec)
-                for n_value in digit_grid(3, -1, 1 - spec.gamma_0)]
+                for n_value in fraction_digit_grid(3, -1, 1 - spec.gamma_0)]
         expected = sorted(grid, key=lambda idx: idx.sort_key)[:_ORBIT_CAP]
         assert len(grid) > _ORBIT_CAP
         assert json.loads(out)["results"]["count"] == _ORBIT_CAP
@@ -132,6 +135,19 @@ class TestAnalysisCommands:
         assert code == 0
         results = json.loads(out)["results"]
         assert results["max_abs_deviation"] <= 1e-9
+
+    def test_oracle_lattice_fits_each_probe_when_terms_cancel(self):
+        # psi(-2, 0, 1) cancels in f1 + f2, whose lattice (2, 1) is too coarse
+        # for f1 (K >= 3); each probe's own lattice is fine enough
+        one = TestFunction.single
+        low = one(wavelet_index(-2, 0, 1, 3))
+        f1 = low + one(wavelet_index(0, 0, 1, 3))
+        f2 = low.scaled(CycloNumber.from_rational(-1, 3)) + one(wavelet_index(1, 0, 1, 3))
+        assert default_lattice(f1 + f2) == (2, 1)
+        with pytest.raises(ResolutionError):
+            sample(f1, *default_lattice(f1 + f2))
+        assert _oracle_deviation(f1, f2) <= 1e-9
+        assert _oracle_deviation(f1, f1) <= 1e-9
 
     def test_mra_demo(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -11,6 +11,7 @@ from orbit_strategies import (
     assert_same_members,
     colliding_frame_cases,
     expansions,
+    fraction_digit_grid,
     grid_translations,
     oracle_member,
     oracle_members,
@@ -52,7 +53,7 @@ from padicframes.frames import (
     run_frame_check,
     verify_tight_frame,
 )
-from padicframes.padic import CosetRepresentative, digit_grid, ppow, rep_mod
+from padicframes.padic import CosetRepresentative, ppow, rep_mod
 from padicframes.sampling import (
     base_wavelet,
     non_generic_example,
@@ -202,7 +203,7 @@ def test_orbit_members_on_a_full_grid(p, mode):
         terms[wavelet_index(-1, n, 1, p)] = field.scale(one, 2)
     f = TestFunction(p, mode, terms)
     spec = orbit_spec(p, 1, 0)
-    grid = [CosetRepresentative(p, value, 1) for value in digit_grid(p, -2, 1)]
+    grid = [CosetRepresentative(p, value, 1) for value in fraction_digit_grid(p, -2, 1)]
     for J in dilation_indices(spec)[:2]:
         for gamma in (-1, 2):
             assert_same_members(orbit_members(f, spec, gamma, J, grid),

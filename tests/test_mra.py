@@ -10,6 +10,7 @@ from orbit_strategies import (
     PRIMES,
     assert_same_members,
     expansions,
+    fraction_digit_grid,
     oracle_member,
     orbit_spec,
 )
@@ -26,7 +27,7 @@ from padicframes.mra import (
     span_probe,
     wavelet_space_gram,
 )
-from padicframes.padic import CosetRepresentative, digit_grid, ppow
+from padicframes.padic import CosetRepresentative, ppow
 from padicframes.sampling import random_cyclo, random_generic_function
 from padicframes.wavelets import (
     EXACT,
@@ -335,7 +336,7 @@ def span_probe_oracle(f, spec, gamma, truncation):
     mod_exp = 1 - spec.gamma_0
     labels = [OrbitIndex(gamma, CosetRepresentative(p, value, mod_exp), J)
               for J in dilation_indices(spec)
-              for value in digit_grid(p, -truncation, mod_exp)]
+              for value in fraction_digit_grid(p, -truncation, mod_exp)]
     return labels, [oracle_member(f, spec, idx) for idx in labels]
 
 
