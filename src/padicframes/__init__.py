@@ -1,7 +1,7 @@
 """Exact p-adic wavelet frames: affine-group orbits, stabilizers, and
 tight-frame verification over Q(zeta_p)."""
 
-from .padic import CosetRepresentative, PadicScalar, PrimeContext, parse_rational
+from .padic import CosetRepresentative, PadicScalar, parse_rational
 from .cyclotomic import CycloNumber, root_of_unity
 from .wavelets import (
     EXACT,

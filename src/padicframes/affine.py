@@ -33,7 +33,7 @@ from .errors import (
 from .padic import (
     CosetRepresentative,
     PadicScalar,
-    PrimeContext,
+    check_prime,
     ppow,
     rational_norm,
     rational_valuation,
@@ -44,7 +44,10 @@ from .wavelets import TestFunction, WaveletIndex
 
 @dataclass(frozen=True)
 class AffineElement:
-    """Group element (a, b) with a != 0, acting as x -> a*x + b on points."""
+    """Group element (a, b) with a != 0, acting as x -> a*x + b on points.
+
+    ``affine(a, b, p)`` checks p; the group operations pass it along.
+    """
 
     a: PadicScalar
     b: PadicScalar
@@ -52,8 +55,8 @@ class AffineElement:
     def __post_init__(self):
         if self.a.value == 0:
             raise ValueError("dilation part must be nonzero")
-        if self.a.context != self.b.context:
-            raise PrimeMismatchError("a and b share one prime context")
+        if self.a.p != self.b.p:
+            raise PrimeMismatchError("a and b share one prime")
 
     @property
     def p(self) -> int:
@@ -64,8 +67,8 @@ class AffineElement:
 
 
 def affine(a: Union[int, str, Fraction], b: Union[int, str, Fraction], p: int) -> AffineElement:
-    ctx = PrimeContext(p)
-    return AffineElement(PadicScalar.of(a, ctx), PadicScalar.of(b, ctx))
+    check_prime(p)
+    return AffineElement(PadicScalar.of(a, p), PadicScalar.of(b, p))
 
 
 def identity(p: int) -> AffineElement:
@@ -74,20 +77,20 @@ def identity(p: int) -> AffineElement:
 
 def compose(g1: AffineElement, g2: AffineElement) -> AffineElement:
     """(a, b) o (a', b') = (a a', b + a b')."""
-    if g1.p != g2.p:
+    p = g1.p
+    if p != g2.p:
         raise PrimeMismatchError("mixed primes")
-    ctx = g1.a.context
     return AffineElement(
-        PadicScalar(g1.a.value * g2.a.value, ctx),
-        PadicScalar(g1.b.value + g1.a.value * g2.b.value, ctx))
+        PadicScalar(g1.a.value * g2.a.value, p),
+        PadicScalar(g1.b.value + g1.a.value * g2.b.value, p))
 
 
 def inverse(g: AffineElement) -> AffineElement:
     """(a, b)^(-1) = (1/a, -b/a)."""
-    ctx = g.a.context
+    p = g.p
     return AffineElement(
-        PadicScalar(1 / g.a.value, ctx),
-        PadicScalar(-g.b.value / g.a.value, ctx))
+        PadicScalar(1 / g.a.value, p),
+        PadicScalar(-g.b.value / g.a.value, p))
 
 
 def power(g: AffineElement, k: int) -> AffineElement:
@@ -97,8 +100,8 @@ def power(g: AffineElement, k: int) -> AffineElement:
         geometric = Fraction(k)
     else:
         geometric = (1 - a**k) / (1 - a)
-    ctx = g.a.context
-    return AffineElement(PadicScalar(a**k, ctx), PadicScalar(g.b.value * geometric, ctx))
+    p = g.p
+    return AffineElement(PadicScalar(a**k, p), PadicScalar(g.b.value * geometric, p))
 
 
 @dataclass(frozen=True)
@@ -239,13 +242,8 @@ def ball_stabilizer_membership(g: AffineElement, gamma: int, n: CosetRepresentat
 
 def wavelet_stabilizer_membership(g: AffineElement, idx: WaveletIndex) -> bool:
     """Whether g fixes psi_idx exactly: a = 1 mod p and
-    p**gamma b = n (1 - a) mod p."""
-    p = g.p
-    a, b = g.a.value, g.b.value
-    if rational_norm(1 - a, p) > Fraction(1, p):
-        return False
-    lhs = ppow(p, idx.gamma) * b - idx.n.value * (1 - a)
-    return rational_norm(lhs, p) <= Fraction(1, p)
+    p**gamma b = n (1 - a) mod p, the closed form of a one-term expansion."""
+    return in_stabilizer(g, StabilizerSpec(idx.prime, 1, idx.gamma, idx.n))
 
 
 @dataclass(frozen=True)
@@ -407,7 +405,6 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
         raise DepthTooSmallError(depth, required)
 
     p = f.prime
-    ctx = PrimeContext(p)
     window = _translation_window(f)
     b_count = p ** (depth + window)
     b_scale = ppow(p, -window)
@@ -438,7 +435,7 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
         fixed: list[int] = []
         broken: list[int] = []
         for c in classes:
-            g = AffineElement(PadicScalar(a, ctx), PadicScalar(c * b_scale, ctx))
+            g = AffineElement(PadicScalar(a, p), PadicScalar(c * b_scale, p))
             invariant = act_on_function(g, f) == f
             predicted = in_stabilizer(g, spec)
             if invariant and not predicted:
@@ -447,7 +444,7 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
                 broken.extend(range(c, b_count, period))
         for ts, out in ((fixed, witnesses), (broken, violations)):
             out.extend(
-                AffineElement(PadicScalar(a, ctx), PadicScalar(t * b_scale, ctx))
+                AffineElement(PadicScalar(a, p), PadicScalar(t * b_scale, p))
                 for t in sorted(ts))
     units = p**depth - p ** (depth - 1)
     return GenericityVerdict(

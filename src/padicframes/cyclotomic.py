@@ -11,14 +11,17 @@ Multiplication is an integer cyclic convolution on a redundant length-p
 vector (zeta**p = 1) followed by one normalisation: adding a constant
 multiple of (1, 1, ..., 1) to the length-p vector does not change the
 element, so the last slot is cleared by subtracting it from every slot, and
-the common gcd is divided out once.  Field automorphisms permute integer
-slots and keep the denominator, because they map Z[zeta] onto itself and so
-preserve the content.  Rational coefficients appear only at the boundary:
-the public constructor, ``coeffs`` and display.
+the common gcd is divided out once.  Field automorphisms zeta -> zeta**k and
+phases x -> zeta**m x move the slots of that vector by one index map,
+i -> i*k + m mod p, and keep the denominator: both map Z[zeta] onto itself,
+so the content does not change, and a phase needs no product and no gcd.
+Rational coefficients appear only at the boundary: the public constructors,
+``coeffs`` and display.
 
 Only the public constructors (``CycloNumber(p, coeffs)``, ``from_rational``,
-``zero``, ``one`` and ``root_of_unity``) check that p is prime; arithmetic
-results are built from already validated operands.
+``zero``, ``one``, ``from_zeta_powers`` and ``root_of_unity``) check that p
+is prime, once each; arithmetic results, and the constants of
+``wavelets.ExactField``, are built on the internal ``_den`` path.
 """
 
 from __future__ import annotations
@@ -30,14 +33,9 @@ from math import gcd, isfinite, lcm
 from typing import Sequence, Union
 
 from .errors import InvariantError, PrimeMismatchError
-from .padic import is_prime, parse_rational
+from .padic import check_prime, parse_rational
 
 Rationalish = Union[int, Fraction]
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
 
 
 def _convolve(x: Sequence[int], y: Sequence[int], p: int) -> list[int]:
@@ -56,11 +54,12 @@ def _convolve(x: Sequence[int], y: Sequence[int], p: int) -> list[int]:
     return [c - tail for c in ext[: p - 1]]
 
 
-def _permute(x: Sequence[int], k: int, p: int) -> list[int]:
-    """Integer numerators of the image of x under zeta -> zeta**k."""
+def _permute(x: Sequence[int], k: int, m: int, p: int) -> list[int]:
+    """Integer numerators of zeta**m times the image of x under
+    zeta -> zeta**k: slot i moves to i*k + m mod p."""
     ext = [0] * p
     for i, a in enumerate(x):
-        ext[(i * k) % p] += a
+        ext[(i * k + m) % p] += a
     tail = ext[p - 1]
     return [c - tail for c in ext[: p - 1]]
 
@@ -93,7 +92,7 @@ class CycloNumber:
         if _den:
             num, den = coeffs, _den
         else:
-            _check_prime(prime)
+            check_prime(prime)
             if len(coeffs) != prime - 1:
                 raise ValueError(
                     f"need {prime - 1} coefficients, got {len(coeffs)}")
@@ -118,7 +117,7 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, value: Rationalish, p: int) -> "CycloNumber":
-        _check_prime(p)
+        check_prime(p)
         q = Fraction(value)
         return cls(p, (q.numerator,) + (0,) * (p - 2), _den=q.denominator)
 
@@ -188,7 +187,14 @@ class CycloNumber:
         p = self.prime
         if k % p == 0:
             raise ValueError("automorphism index must be prime to p")
-        return CycloNumber(p, tuple(_permute(self._num, k, p)), _den=self._den)
+        return CycloNumber(p, tuple(_permute(self._num, k, 0, p)), _den=self._den)
+
+    def times_zeta(self, m: int) -> "CycloNumber":
+        """zeta**m * self, by rotating the numerator slots."""
+        p = self.prime
+        if m % p == 0:
+            return self
+        return CycloNumber(p, tuple(_permute(self._num, 1, m, p)), _den=self._den)
 
     def conjugate(self) -> "CycloNumber":
         """Complex conjugation, zeta -> zeta**(p-1)."""
@@ -210,7 +216,7 @@ class CycloNumber:
         p, num = self.prime, self._num
         cofactor = [1] + [0] * (p - 2)
         for k in range(2, p):
-            cofactor = _convolve(cofactor, _permute(num, k, p), p)
+            cofactor = _convolve(cofactor, _permute(num, k, 0, p), p)
         field_norm = CycloNumber(p, tuple(_convolve(num, cofactor, p)), _den=1)
         if not field_norm.is_rational():
             raise InvariantError(f"field norm of {self} is not rational")
@@ -248,9 +254,11 @@ class CycloNumber:
 
         A power must be an ``int``; a literal is an ``"a/b"`` string or a
         number.  Bools, non-integer powers and non-finite floats raise
-        ``TypeError``/``ValueError`` instead of being cast.
+        ``TypeError``/``ValueError`` instead of being cast.  The literals
+        fold into one length-p vector, whose last slot is then cleared.
         """
-        out = cls.zero(p)
+        check_prime(p)
+        ext = [Fraction(0)] * p
         for power, literal in pairs:
             if isinstance(power, bool) or not isinstance(power, int):
                 raise TypeError(f"zeta power must be an integer, got {power!r}")
@@ -258,9 +266,11 @@ class CycloNumber:
                     isinstance(literal, float) and not isfinite(literal)):
                 raise ValueError(
                     f"zeta coefficient must be a finite number, got {literal!r}")
-            value = parse_rational(literal) if isinstance(literal, str) else Fraction(literal)
-            out = out + root_of_unity(power, p).scale(value)
-        return out
+            ext[power % p] += parse_rational(literal) if isinstance(literal, str) \
+                else Fraction(literal)
+        fracs = [c - ext[p - 1] for c in ext[: p - 1]]
+        den = lcm(*(q.denominator for q in fracs))
+        return cls(p, tuple(q.numerator * (den // q.denominator) for q in fracs), _den=den)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -274,11 +284,6 @@ class CycloNumber:
 
 
 def root_of_unity(m: int, p: int) -> CycloNumber:
-    """zeta**m in canonical form (m reduced mod p)."""
-    _check_prime(p)
-    m %= p
-    if m == p - 1:
-        return CycloNumber(p, (-1,) * (p - 1), _den=1)
-    num = [0] * (p - 1)
-    num[m] = 1
-    return CycloNumber(p, tuple(num), _den=1)
+    """zeta**m in canonical form: the rotation of one by m."""
+    check_prime(p)
+    return CycloNumber(p, tuple(_permute((1,) + (0,) * (p - 2), 1, m, p)), _den=1)

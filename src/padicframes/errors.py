@@ -6,7 +6,7 @@ class PadicError(ValueError):
 
 
 class NotPIntegralError(PadicError):
-    """Denominator is not a power of the context prime."""
+    """Denominator is not a power of the prime."""
 
 
 class NonUnitError(PadicError):
@@ -14,7 +14,7 @@ class NonUnitError(PadicError):
 
 
 class PrimeMismatchError(PadicError):
-    """Operands belong to different prime contexts."""
+    """Operands belong to different primes."""
 
 
 class ModeMismatchError(PadicError):

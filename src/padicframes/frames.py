@@ -556,8 +556,7 @@ class FrameReport:
 
 
 def run_frame_check(f: TestFunction, spec: StabilizerSpec,
-                    probes: Iterable[TestFunction],
-                    check_multiplicities: bool = True) -> FrameReport:
+                    probes: Iterable[TestFunction]) -> FrameReport:
     bound = frame_bound(f, spec)
     residuals = []
     flags = []
@@ -566,16 +565,15 @@ def run_frame_check(f: TestFunction, spec: StabilizerSpec,
         residuals.append(res)
         flags.append(f.field.residual_is_zero(res, bound, norm_sq(g)))
     checks = []
-    if check_multiplicities:
-        seen = set()
-        for idx in f.terms:
-            key = (idx.gamma, idx.n.value)
-            if key in seen:
-                continue
-            seen.add(key)
-            expected = f.prime ** (spec.gamma_a - spec.gamma_0 + idx.gamma)
-            actual = phase_fix_multiplicity(idx.gamma, idx.n, spec)
-            checks.append(MultiplicityCheck(idx.gamma, idx.n.value, expected, actual))
+    seen = set()
+    for idx in f.terms:
+        key = (idx.gamma, idx.n.value)
+        if key in seen:
+            continue
+        seen.add(key)
+        expected = f.prime ** (spec.gamma_a - spec.gamma_0 + idx.gamma)
+        actual = phase_fix_multiplicity(idx.gamma, idx.n, spec)
+        checks.append(MultiplicityCheck(idx.gamma, idx.n.value, expected, actual))
     return FrameReport(
         frame_bound=bound,
         exact=f.mode == EXACT,

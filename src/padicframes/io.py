@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional
 
 from .affine import AffineElement, affine
@@ -18,10 +17,6 @@ from .cyclotomic import CycloNumber
 from .errors import ConfigError, PadicError
 from .padic import is_prime, parse_rational
 from .wavelets import EXACT, FLOAT, TestFunction, wavelet_index
-
-
-def serialize_fraction(q: Fraction) -> str:
-    return str(q)
 
 
 def _json_int(value: Any, what: str) -> int:

@@ -150,7 +150,7 @@ def solve_in_span(generators: Sequence[TestFunction],
     if target.mode != EXACT or any(g.mode != EXACT for g in generators):
         raise ModeMismatchError("span solving works on exact coefficients")
     p = target.prime
-    zero = CycloNumber.zero(p)
+    zero = target.field.zero(p)
     by_index: dict[WaveletIndex, dict[int, CycloNumber]] = {
         idx: {} for idx in target.terms}
     for col, g in enumerate(generators):

@@ -9,6 +9,7 @@ integers as N / p**D.  It is checked once, at its public constructor, which
 raises :class:`NotPIntegralError` for a denominator that is not a power of p;
 the integer kernels of the other modules read and build it directly, and
 ``digit_grid`` walks digit strings as integer numerators over one p-power.
+``check_prime`` is the one prime check, made where p enters the library.
 """
 
 from __future__ import annotations
@@ -38,12 +39,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """Raise ``ValueError`` unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the shared literal format ``"a/b"`` or ``"a"`` (optional sign)."""
+    """Parse the shared literal format ``"a/b"`` or ``"a"`` (optional sign);
+    a zero denominator raises ``ValueError``."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def ppow(p: int, k: int) -> Fraction:
@@ -145,32 +156,17 @@ def digit_grid(p: int, lo: int, hi: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class PrimeContext:
-    """A fixed prime p; checked at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"not a prime: {self.p}")
-
-
-@dataclass(frozen=True)
 class PadicScalar:
-    """An exact rational read as an element of Q_p."""
+    """An exact rational read as an element of Q_p (p checked by the caller)."""
 
     value: Fraction
-    context: PrimeContext
+    p: int
 
     @classmethod
-    def of(cls, value: Union[int, str, Fraction], context: PrimeContext) -> "PadicScalar":
+    def of(cls, value: Union[int, str, Fraction], p: int) -> "PadicScalar":
         if isinstance(value, str):
             value = parse_rational(value)
-        return cls(Fraction(value), context)
-
-    @property
-    def p(self) -> int:
-        return self.context.p
+        return cls(Fraction(value), p)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -183,7 +179,8 @@ class CosetRepresentative:
     The value is a finite digit sum over exponents < k, stored on integers as
     ``numerator`` / p**``den_exponent`` in lowest terms: den_exponent >= 0,
     p does not divide the numerator when den_exponent > 0, and
-    0 <= numerator < p**(den_exponent + k).
+    0 <= numerator < p**(den_exponent + k).  That form is unique, so
+    equality and hashing compare the four stored integers.
 
     ``CosetRepresentative(p, value, k)`` takes a rational value and checks
     that p is prime and the value canonical.  The keyword ``_den_exponent``
@@ -200,8 +197,7 @@ class CosetRepresentative:
     def __init__(self, prime: int, value: Union[int, Fraction],
                  modulus_exponent: int, *, _den_exponent: Optional[int] = None):
         if _den_exponent is None:
-            if not is_prime(prime):
-                raise ValueError(f"not a prime: {prime}")
+            check_prime(prime)
             num, den, d = value.numerator, value.denominator, 0
             while den % prime == 0:
                 den //= prime
@@ -234,11 +230,6 @@ class CosetRepresentative:
 
     def digits(self) -> dict[int, int]:
         return digit_expansion(self.numerator, self.den_exponent, self.prime)
-
-    def __hash__(self) -> int:
-        # the hash of the rational tuple, whatever the stored form, so sets
-        # of orbit indices (and float sums over them) keep their order
-        return hash((self.prime, self.value, self.modulus_exponent))
 
     def __repr__(self) -> str:
         return (f"CosetRepresentative(prime={self.prime!r}, value={self.value!r}, "

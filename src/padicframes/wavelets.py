@@ -13,7 +13,8 @@ oracle below.
 
 A function's ``mode`` names its coefficient field: ``ExactField`` (Q(zeta_p))
 or ``FloatField`` (complex doubles, a cross-check).  Callers reach coefficient
-arithmetic through ``f.field`` instead of branching on the mode.
+arithmetic through ``f.field`` instead of branching on the mode.  Labels have
+checked p already, so the fields build constants and phases unchecked.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .cyclotomic import CycloNumber, root_of_unity
+from .cyclotomic import CycloNumber
 from .errors import (
     LatticeMismatchError,
     ModeMismatchError,
@@ -38,18 +39,17 @@ FLOAT = "float"
 Coeff = Union[CycloNumber, complex]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class WaveletIndex:
     """Basis label: integer scale gamma, translation n in Q_p/Z_p, unit j.
 
     Labels key every expansion's term dict, so the hash over the compared
-    fields (gamma, j, sort_key) is computed once, at construction.
+    fields (gamma, n, j) is computed once, at construction.
     """
 
     gamma: int
-    n: CosetRepresentative = field(compare=False)
+    n: CosetRepresentative
     j: int
-    sort_key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,12 +57,15 @@ class WaveletIndex:
             raise ValueError("translation must be reduced modulo Z_p")
         if not 1 <= self.j <= self.n.prime - 1:
             raise ValueError(f"j must lie in 1..{self.n.prime - 1}")
-        sort_key = (self.gamma, self.n.value, self.j)
-        object.__setattr__(self, "sort_key", sort_key)
-        object.__setattr__(self, "_hash", hash((self.gamma, self.j, sort_key)))
+        object.__setattr__(self, "_hash", hash((self.gamma, self.n, self.j)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def sort_key(self) -> tuple:
+        """Display order: by scale, rational translation, then unit."""
+        return (self.gamma, self.n.value, self.j)
 
     @property
     def prime(self) -> int:
@@ -93,12 +96,12 @@ class ExactField:
     """Coefficients in Q(zeta_p) as ``CycloNumber``; every result is exact."""
 
     def zero(self, p: int) -> CycloNumber:
-        return CycloNumber.zero(p)
+        return CycloNumber(p, (0,) * (p - 1), _den=1)
 
     real_zero = zero  # the zero of squared norms and energies
 
     def one(self, p: int) -> CycloNumber:
-        return CycloNumber.one(p)
+        return CycloNumber(p, (1,) + (0,) * (p - 2), _den=1)
 
     def conj(self, c: CycloNumber) -> CycloNumber:
         return c.conjugate()
@@ -108,7 +111,7 @@ class ExactField:
 
     def phase(self, c: CycloNumber, m: int, p: int) -> CycloNumber:
         """Multiply by the p-th root of unity of exponent m."""
-        return c if m % p == 0 else c * root_of_unity(m, p)
+        return c.times_zeta(m)
 
     def to_complex(self, c: CycloNumber) -> complex:
         return c.to_complex()

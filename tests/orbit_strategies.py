@@ -14,7 +14,9 @@ The reference sampler evaluates each lattice point of the Haar oracle
 pointwise, on ``Fraction``s, independently of the integer walk of
 ``wavelets.sample``.  The ``fraction_*`` oracles are the ``Fraction`` forms
 of the padic layer that the integer translation format replaced: the
-canonicity check, the digit grid and the digit expansion.
+canonicity check, the digit grid and the digit expansion.  The reference
+wavelet stabilizer is the direct formula that
+``affine.wavelet_stabilizer_membership`` replaced by the one-term closed form.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from padicframes.padic import (
     CosetRepresentative,
     ppow,
     rational_mod_p,
+    rational_norm,
     rational_valuation,
     rep_mod,
 )
@@ -188,6 +191,17 @@ def reference_act_on_function(g, f):
         nc = field.phase(c, m, p)
         out[target] = out[target] + nc if target in out else nc
     return TestFunction(p, f.mode, out)
+
+
+def reference_wavelet_stabilizer_membership(g, idx):
+    """Whether g fixes psi_idx, by the direct formula: a = 1 mod p and
+    p**gamma b = n (1 - a) mod p."""
+    p = g.p
+    a, b = g.a.value, g.b.value
+    if rational_norm(1 - a, p) > Fraction(1, p):
+        return False
+    lhs = ppow(p, idx.gamma) * b - idx.n.value * (1 - a)
+    return rational_norm(lhs, p) <= Fraction(1, p)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from orbit_strategies import (
     rationals,
     reference_act_on_function,
     reference_act_on_wavelet,
+    reference_wavelet_stabilizer_membership,
 )
 import padicframes.affine as affine_module
 from padicframes.affine import (
@@ -264,6 +265,28 @@ class TestBallAndWaveletStabilizers:
             g = random_affine(rng, p, valuation_range=(0, 0), translation_digits=1, magnitude=7)
             fixed = act_on_function(g, TestFunction.single(idx)) == TestFunction.single(idx)
             assert fixed == wavelet_stabilizer_membership(g, idx)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_wavelet_stabilizer_matches_direct_formula(data):
+    """The one-term closed form agrees with the direct formula, on elements
+    drawn near the stabilizer (a = 1 mod p, b near the centre) and off it."""
+    p = data.draw(st.sampled_from(PRIMES))
+    width = data.draw(st.integers(0, 2))
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+    n = sum((d * ppow(p, k - width) for k, d in enumerate(digits)), Fraction(0))
+    idx = wavelet_index(data.draw(st.integers(-2, 2)), n, data.draw(st.integers(1, p - 1)), p)
+    if data.draw(st.booleans()):
+        a = 1 + p * data.draw(rationals(p).filter(lambda r: 1 + p * r != 0))
+    else:
+        a = data.draw(rationals(p, nonzero=True))
+    b = data.draw(rationals(p))
+    if data.draw(st.booleans()):
+        b = ppow(p, -idx.gamma) * n * (1 - a) + ppow(p, idx.gamma - 1) * b
+    g = affine(a, b, p)
+    assert wavelet_stabilizer_membership(g, idx) == \
+        reference_wavelet_stabilizer_membership(g, idx)
 
 
 class TestStabilizerSpec:

@@ -279,6 +279,9 @@ MALFORMED_CONFIGS = {
         mode="float", function=[{**FLOAT_TERMS[0], "coeff": [1.0, float("inf")]}]),
     "overflowing_coefficient": dict(
         mode="float", function=[{**FLOAT_TERMS[0], "coeff": [10**400, 0.0]}]),
+    "zero_denominator_translation": dict(function=_exact_term(n="1/0")),
+    "zero_denominator_coefficient": dict(
+        function=_exact_term(coeff={"zeta_powers": [[0, "1/0"]]})),
 }
 
 

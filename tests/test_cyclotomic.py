@@ -156,6 +156,32 @@ def test_multiplicative_inverse(data):
     assert x * x.inverse() == CycloNumber.one(p)
 
 
+def reference_root(m, p):
+    """zeta**m from its power-basis coefficients, through the public
+    constructor: zeta**(p-1) = -(1 + zeta + ... + zeta**(p-2))."""
+    m %= p
+    if m == p - 1:
+        return CycloNumber(p, (-1,) * (p - 1))
+    return CycloNumber(p, tuple(int(k == m) for k in range(p - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_times_zeta_is_multiplication_by_a_root_of_unity(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    m = data.draw(st.integers(-2 * p, 2 * p))
+    x = data.draw(cyclo_elements(p))
+    rotated = x.times_zeta(m)
+    assert root_of_unity(m, p) == reference_root(m, p)
+    for product in (x * root_of_unity(m, p), x * reference_root(m, p)):
+        assert (rotated.prime, rotated._num, rotated._den) == \
+            (product.prime, product._num, product._den)
+    assert_canonical(rotated)
+    assert cmath.isclose(rotated.to_complex(),
+                         x.to_complex() * cmath.exp(2j * cmath.pi * m / p),
+                         abs_tol=1e-9)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_conjugation_is_an_involutive_automorphism(data):

@@ -669,5 +669,6 @@ def test_float_frame_amounts_stay_float():
         assert type(orbit_energy_direct(ff, spec, gf)) is float
         assert ff.field.residual_is_zero(residual, bound=bound, g_nsq=norm_sq(gf))
         assert f.field.residual_is_zero(verify_tight_frame(f, spec, g))
-        report = run_frame_check(ff, spec, [gf], check_multiplicities=False)
+        report = run_frame_check(ff, spec, [gf])
         assert report.all_zero_residuals and not report.exact
+        assert all(check.ok for check in report.multiplicity_checks)

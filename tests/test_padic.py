@@ -15,12 +15,12 @@ from orbit_strategies import (
     fraction_digit_grid,
 )
 from padicframes.affine import AffineElement, affine, compose, inverse
+from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import NonUnitError, NotPIntegralError, PrimeMismatchError
 from padicframes.frames import OrbitIndex
 from padicframes.padic import (
     CosetRepresentative,
     PadicScalar,
-    PrimeContext,
     digit_grid,
     parse_rational,
     ppow,
@@ -214,13 +214,19 @@ class TestParsingAndContexts:
         with pytest.raises(ValueError):
             parse_rational("1.5")
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", " 2/00 "])
+    def test_parse_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator") as info:
+            parse_rational(text)
+        assert type(info.value) is ValueError
+
     def test_prime_context_rejects_composites(self):
-        with pytest.raises(ValueError):
-            PrimeContext(6)
+        with pytest.raises(ValueError, match="not a prime: 6"):
+            affine(1, 0, 6)
 
     def test_mixed_context_arithmetic_rejected(self):
-        one_2 = PadicScalar.of(1, PrimeContext(2))
-        one_3 = PadicScalar.of(1, PrimeContext(3))
+        one_2 = PadicScalar.of(1, 2)
+        one_3 = PadicScalar.of(1, 3)
         with pytest.raises(PrimeMismatchError):
             AffineElement(one_2, one_3)
         with pytest.raises(PrimeMismatchError):
@@ -444,7 +450,15 @@ def test_public_constructors_refuse_non_primes(p):
     for build in (lambda: CosetRepresentative(p, Fraction(0), 0),
                   lambda: CosetRepresentative(p, Fraction(1, 4), 0),
                   lambda: wavelet_index(0, 0, 1, p),
-                  lambda: wavelet_index(0, Fraction(1, 4), 1, p)):
+                  lambda: wavelet_index(0, Fraction(1, 4), 1, p),
+                  lambda: CycloNumber(p, (1,) * max(p - 1, 0)),
+                  lambda: CycloNumber.zero(p),
+                  lambda: CycloNumber.one(p),
+                  lambda: CycloNumber.from_rational(Fraction(1, 2), p),
+                  lambda: CycloNumber.from_zeta_powers([(1, "1/2")], p),
+                  lambda: root_of_unity(1, p),
+                  lambda: affine(1, 0, p),
+                  lambda: affine("1/2", "1/4", p)):
         with pytest.raises(ValueError, match="not a prime") as info:
             build()
         assert type(info.value) is ValueError

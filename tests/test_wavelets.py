@@ -305,8 +305,10 @@ def test_float_field_agrees_with_exact_field():
     rng = random.Random(5)
     exact, floaty = FIELDS[EXACT], FIELDS[FLOAT]
     for p in (2, 3, 5, 7):
-        assert exact.zero(p).is_zero() and exact.real_zero(p).is_zero()
+        # the unchecked constants are the canonical checked ones
+        assert exact.zero(p) == exact.real_zero(p) == CycloNumber.zero(p)
         assert exact.one(p) == CycloNumber.one(p)
+        assert hash(exact.one(p)) == hash(CycloNumber.one(p))
         assert type(floaty.zero(p)) is complex and floaty.zero(p) == 0
         assert type(floaty.real_zero(p)) is float and floaty.real_zero(p) == 0
         assert type(floaty.one(p)) is complex and floaty.one(p) == 1
