@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import frames, mra
 from .affine import genericity_check, stabilizer_spec
-from .errors import PadicError
+from .errors import ModeMismatchError, PadicError
 from .io import (
     RunConfig,
     load_config,
@@ -231,6 +231,9 @@ def _default_mra_function(p: int) -> TestFunction:
 
 
 def _cmd_mra_demo(cfg: RunConfig) -> tuple[dict, int]:
+    f = cfg.function if cfg.function is not None else _default_mra_function(cfg.prime)
+    if f.mode != EXACT:
+        raise ModeMismatchError("span solving works on exact coefficients")
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 3)
     shifts = [CosetRepresentative(p, num, 0, _den_exponent=digit_cap)
@@ -240,7 +243,6 @@ def _cmd_mra_demo(cfg: RunConfig) -> tuple[dict, int]:
         gram[i][k] == (1 if i == k else 0)
         for i in range(len(shifts)) for k in range(len(shifts)))
 
-    f = cfg.function if cfg.function is not None else _default_mra_function(p)
     spec = stabilizer_spec(f)
     spread = f.scale_spread()
     truncation = 1

@@ -12,8 +12,12 @@ Both exact kernels enumerate only nonzero work: the basis is orthonormal,
 so cross-Grams are accumulated over shared wavelet indices only, and span
 membership eliminates on sparse rows.  The generators themselves come from
 ``frames.orbit_members``, one call per dilation J along the translation
-grid.  The scaling relation still builds the span at gamma + 1 by the group
-action, not by dilating the span at gamma, so the check is not circular.
+grid.  Both checks use the covariance of the orbit under the group: a Gram
+block is decided by the n = 0 members of the larger exponent, and the
+scaling relation carries the coefficients found at gamma over to the
+generators at gamma + 1.  Those generators are still built by the group
+action, not by dilating the span at gamma, and the carried combination is
+compared exactly with the dilated member, so the check is not circular.
 
 Convention: spaces are labelled here by the orbit dilation exponent gamma
 (the group element is (p**gamma J, p**gamma J n)); a label flip gamma -> -gamma
@@ -63,6 +67,23 @@ class SpanProbe:
     labels: tuple[OrbitIndex, ...]
 
 
+def _translations(p: int, spec: StabilizerSpec,
+                  truncation: int) -> Iterator[CosetRepresentative]:
+    """The canonical n modulo p**(1 - gamma_0) with digit positions down to
+    -truncation, in ``digit_grid`` order, so n = 0 comes first."""
+    mod_exp = 1 - spec.gamma_0
+    for num in digit_grid(p, -truncation, mod_exp):
+        yield CosetRepresentative(p, num, mod_exp, _den_exponent=truncation)
+
+
+def _members(f: TestFunction, spec: StabilizerSpec, gamma: int,
+             translations: Sequence[CosetRepresentative]) -> list[TestFunction]:
+    """Orbit members at gamma, J outer and n in the given order, one
+    ``orbit_members`` call per J."""
+    return [member for J in dilation_indices(spec)
+            for member in orbit_members(f, spec, gamma, J, translations)]
+
+
 def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
                truncation: int) -> SpanProbe:
     """Orbit members (p**gamma J, p**gamma J n) f over all J and all n with
@@ -70,16 +91,11 @@ def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
     order.  The translation grid is built once and each J takes one
     ``orbit_members`` call, so the members of one J share their target
     labels and phased coefficients."""
-    p = f.prime
-    mod_exp = 1 - spec.gamma_0
-    translations = [CosetRepresentative(p, num, mod_exp, _den_exponent=truncation)
-                    for num in digit_grid(p, -truncation, mod_exp)]
-    gens = []
-    labels = []
-    for J in dilation_indices(spec):
-        gens.extend(orbit_members(f, spec, gamma, J, translations))
-        labels.extend(OrbitIndex(gamma, n, J) for n in translations)
-    return SpanProbe(gamma, truncation, tuple(gens), tuple(labels))
+    translations = list(_translations(f.prime, spec, truncation))
+    labels = tuple(OrbitIndex(gamma, n, J)
+                   for J in dilation_indices(spec) for n in translations)
+    return SpanProbe(gamma, truncation,
+                     tuple(_members(f, spec, gamma, translations)), labels)
 
 
 @dataclass(frozen=True)
@@ -114,22 +130,42 @@ def cross_gram_rows(gens1: Sequence[TestFunction],
 
 def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
                        gamma1: int, gamma2: int, truncation: int) -> GramSummary:
-    """All inner products between the gamma1 and gamma2 generator sets on the
-    truncated translation grid; orthogonal means every entry is exactly zero.
+    """The inner products between the gamma1 and gamma2 generator sets on the
+    truncated translation grid, in that slot order; orthogonal means every
+    entry is exactly zero, and ``entries`` counts the full N1 * N2 matrix.
+
+    Exact entries are decided from one member per J on the larger exponent.
+    Write lo <= hi for the two exponents, and take members
+    u = (p**lo J_lo, p**lo J_lo n_lo) f and v = (p**hi J_hi, p**hi J_hi n_hi) f.
+    The translation h = (1, -p**hi J_hi n_hi) is unitary, so
+    <u, v> = <h u, h v>.  h v is the member (hi, J_hi, 0), and h u is the
+    member at lo, J_lo with translation n_lo - p**(hi - lo) J_hi J_lo**-1 n_hi.
+    That translation has digits at positions >= -truncation, because
+    hi >= lo, and it reduces modulo p**(1 - gamma_0) onto the grid, because
+    the translations of the closed-form b-ball p**(1 - gamma_0) Z_p fix f
+    exactly.  For each n_hi the map on n_lo is a bijection of the grid, so
+    the n_hi = 0 members of a (J_lo, J_hi) block meet every value of that
+    block.  Exact values are canonical, so equal entries give equal floats.
+    Float entries agree only up to rounding, so a non-canonical field keeps
+    the full grid on both sides and its bits do not depend on this argument.
+
     Only generator pairs that share a wavelet index are accumulated
-    (``cross_gram_rows``); ``entries`` counts the full N1 * N2 matrix."""
-    probe1 = span_probe(f, spec, gamma1, truncation)
-    probe2 = span_probe(f, spec, gamma2, truncation)
+    (``cross_gram_rows``).
+    """
     field = f.field
+    lo, hi = sorted((gamma1, gamma2))
+    full = span_probe(f, spec, lo, truncation).generators
+    grid = _translations(f.prime, spec, truncation)
+    reps = _members(f, spec, hi, [next(grid)] if field.canonical else list(grid))
     max_abs = 0.0
     orthogonal = True
-    for row in cross_gram_rows(probe1.generators, probe2.generators):
+    for row in cross_gram_rows(*((reps, full) if gamma1 > gamma2 else (full, reps))):
         for ip in row.values():
             if not field.is_zero(ip):
                 orthogonal = False
                 max_abs = max(max_abs, abs(field.to_complex(ip)))
-    entries = len(probe1.generators) * len(probe2.generators)
-    return GramSummary(orthogonal, max_abs, entries)
+    # both sides run over the same J values and translation grid
+    return GramSummary(orthogonal, max_abs, len(full) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +229,20 @@ def solve_in_span(generators: Sequence[TestFunction],
     for col, r in pivot_of_col.items():
         solution[col] = rhs[r]
 
+    return solution if _combine(p, generators, solution) == target else None
+
+
+def _combine(p: int, generators: Sequence[TestFunction],
+             coefficients: Sequence[CycloNumber]) -> TestFunction:
+    """The exact sum of coefficients[k] * generators[k]."""
     combined: dict[WaveletIndex, CycloNumber] = {}
-    for coeff, gen in zip(solution, generators):
+    for coeff, gen in zip(coefficients, generators):
         if coeff.is_zero():
             continue
         for idx, c in gen.terms.items():
             term = c * coeff
             combined[idx] = combined[idx] + term if idx in combined else term
-    recombined = TestFunction(p, EXACT, combined)
-    return solution if recombined == target else None
+    return TestFunction(p, EXACT, combined)
 
 
 def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,
@@ -210,10 +251,23 @@ def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,
     """Check that dilating a span member by one p-power lands in the next
     span: member in <generators at gamma> implies the dilated function lies
     in <generators at gamma + 1>.  Raises SpanError if member is not in the
-    stated span to begin with."""
+    stated span to begin with.
+
+    The group law gives (p, 0) (p**gamma J, p**gamma J n) =
+    (p**(gamma+1) J, p**(gamma+1) J n), so the dilation carries the
+    generator (gamma, J, n) exactly onto (gamma + 1, J, n), and
+    ``span_probe`` lists both sets in the same (J, n) order.  The
+    coefficients that express member at gamma therefore express the dilated
+    member at gamma + 1.  The generators at gamma + 1 are built by the group
+    action on their own; if the carried combination equals the dilated member
+    exactly, that is a certificate.  Otherwise the dilated member is solved
+    for afresh, so the verdict is the one a second elimination gives.
+    """
     source = span_probe(f, spec, gamma, truncation)
-    if solve_in_span(source.generators, member) is None:
+    coefficients = solve_in_span(source.generators, member)
+    if coefficients is None:
         raise SpanError("function is not in the span at the stated exponent")
     dilated = act_on_function(affine(f.prime, 0, f.prime), member)
-    target = span_probe(f, spec, gamma + 1, truncation)
-    return solve_in_span(target.generators, dilated) is not None
+    target = span_probe(f, spec, gamma + 1, truncation).generators
+    return (_combine(f.prime, target, coefficients) == dilated
+            or solve_in_span(target, dilated) is not None)

@@ -95,6 +95,8 @@ def wavelet_index(gamma: int, n: Union[Fraction, int, str], j: int, p: int) -> W
 class ExactField:
     """Coefficients in Q(zeta_p) as ``CycloNumber``; every result is exact."""
 
+    canonical = True  # equal values are stored identically, so convert identically
+
     def zero(self, p: int) -> CycloNumber:
         return CycloNumber(p, (0,) * (p - 1), _den=1)
 
@@ -136,6 +138,8 @@ class ExactField:
 class FloatField:
     """Coefficients as ``complex`` doubles; squared norms, energies and
     residuals are ``float``, and residuals are zero within a tolerance."""
+
+    canonical = False  # values equal in exact arithmetic may differ in rounding
 
     def zero(self, p: int) -> complex:
         return complex(0)

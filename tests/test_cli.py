@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from orbit_strategies import fraction_digit_grid
-from padicframes import frames
+from padicframes import frames, mra
 from padicframes.affine import stabilizer_spec
 from padicframes.cli import _ORBIT_CAP, _oracle_deviation, main
 from padicframes.cyclotomic import CycloNumber
@@ -162,6 +162,15 @@ class TestAnalysisCommands:
         assert block["scaling_relation"] is True
         assert block["orthogonality_threshold_observed"] == 2
         assert block["orthogonal_by_distance"] == {"1": False, "2": True}
+
+    def test_mra_demo_refuses_float_before_any_work(self, monkeypatch, capsys):
+        work = []
+        for name in ("scaling_shift_gram", "wavelet_space_gram", "span_probe"):
+            monkeypatch.setattr(mra, name, lambda *args, name=name: work.append(name))
+        code, out, err = run_cli(capsys, "--config", str(GOLDEN_DIR / "float.json"),
+                                 "--command", "mra-demo")
+        assert (code, out, work) == (2, "", [])
+        assert err == "config: span solving works on exact coefficients\n"
 
 
 class TestDeterminismAndIo:

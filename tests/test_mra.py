@@ -14,12 +14,14 @@ from orbit_strategies import (
     oracle_member,
     orbit_spec,
 )
+from padicframes import mra
 from padicframes.affine import act_on_function, affine, stabilizer_spec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import SpanError
 from padicframes.frames import OrbitIndex, dilation_indices
 from padicframes.mra import (
     GramSummary,
+    SpanProbe,
     cross_gram_rows,
     scaling_relation_check,
     scaling_shift_gram,
@@ -28,7 +30,11 @@ from padicframes.mra import (
     wavelet_space_gram,
 )
 from padicframes.padic import CosetRepresentative, ppow
-from padicframes.sampling import random_cyclo, random_generic_function
+from padicframes.sampling import (
+    random_cyclo,
+    random_generic_function,
+    random_test_function,
+)
 from padicframes.wavelets import (
     EXACT,
     FLOAT,
@@ -225,6 +231,34 @@ def dense_solve(generators, target):
     return solution if recombined == target else None
 
 
+def full_gram(f, spec, gamma1, gamma2, truncation):
+    """Every generator pair of the two full probes through cross_gram_rows,
+    with no block decided from one row."""
+    probe1 = span_probe(f, spec, gamma1, truncation)
+    probe2 = span_probe(f, spec, gamma2, truncation)
+    field = f.field
+    max_abs = 0.0
+    orthogonal = True
+    for row in cross_gram_rows(probe1.generators, probe2.generators):
+        for ip in row.values():
+            if not field.is_zero(ip):
+                orthogonal = False
+                max_abs = max(max_abs, abs(field.to_complex(ip)))
+    entries = len(probe1.generators) * len(probe2.generators)
+    return GramSummary(orthogonal, max_abs, entries)
+
+
+def two_solve_scaling_check(f, spec, member, gamma, truncation):
+    """The scaling relation by two eliminations: member at gamma, then its
+    dilation at gamma + 1, with no coefficients carried over."""
+    source = span_probe(f, spec, gamma, truncation)
+    if solve_in_span(source.generators, member) is None:
+        raise SpanError("function is not in the span at the stated exponent")
+    dilated = act_on_function(affine(f.prime, 0, f.prime), member)
+    target = span_probe(f, spec, gamma + 1, truncation)
+    return solve_in_span(target.generators, dilated) is not None
+
+
 def as_float(f):
     return TestFunction(f.prime, FLOAT,
                         {idx: c.to_complex() for idx, c in f.terms.items()})
@@ -373,3 +407,149 @@ def test_span_probe_equals_group_action(data):
     labels, members = span_probe_oracle(f, spec, gamma, truncation)
     assert probe.labels == tuple(labels)
     assert_same_members(probe.generators, members)
+
+
+# ---------------------------------------------------------------------------
+# Covariant kernels against the full Gram and the two-solve scaling check
+# ---------------------------------------------------------------------------
+
+
+# (prime, truncations, draw arguments); even seeds draw generic functions
+COVARIANT_DRAWS = {
+    2: ((0, 1, 2), dict(max_terms=3, gamma_range=(-1, 1), max_digits=1)),
+    3: ((0, 1), dict(max_terms=3, gamma_range=(-1, 1), max_digits=1)),
+    5: ((0,), dict(max_terms=2, gamma_range=(0, 1), max_digits=1)),
+}
+COVARIANT_SEEDS = range(10)
+
+
+def covariant_inputs():
+    for p, (truncations, kwargs) in COVARIANT_DRAWS.items():
+        for seed in COVARIANT_SEEDS:
+            rng = random.Random(7000 + 100 * p + seed)
+            draw = random_generic_function if seed % 2 == 0 else random_test_function
+            yield f"p{p}-seed{seed}", draw(rng, p, **kwargs), truncations
+        yield f"p{p}-two-scale", two_scale_function(p), truncations
+
+
+COVARIANT_INPUTS = list(covariant_inputs())
+COVARIANT_IDS = [name for name, _, _ in COVARIANT_INPUTS]
+
+
+def gram_pairs(f):
+    """Lower exponent first, second, equal, far apart, straddling zero, and
+    beyond the scale spread."""
+    return [(0, 1), (1, 0), (0, 0), (2, 0), (-1, 1), (0, f.scale_spread() + 1)]
+
+
+@pytest.mark.parametrize("name,f,truncations", COVARIANT_INPUTS, ids=COVARIANT_IDS)
+def test_gram_equals_full_gram_oracle(name, f, truncations):
+    spec = stabilizer_spec(f)
+    for g in (f, as_float(f)):
+        for truncation in truncations:
+            for gamma1, gamma2 in gram_pairs(f):
+                fast = wavelet_space_gram(g, spec, gamma1, gamma2, truncation)
+                slow = full_gram(g, spec, gamma1, gamma2, truncation)
+                assert fast == slow
+                assert fast.max_abs_entry.hex() == slow.max_abs_entry.hex()
+
+
+def test_gram_oracle_cases_include_nonzero_blocks():
+    """The differential cases above are not all orthogonal."""
+    overlapping = 0
+    for _, f, truncations in COVARIANT_INPUTS:
+        spec = stabilizer_spec(f)
+        overlapping += sum(not wavelet_space_gram(f, spec, g1, g2, truncations[0]).orthogonal
+                           for g1, g2 in gram_pairs(f))
+    assert overlapping >= len(COVARIANT_INPUTS)
+
+
+@pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
+def test_scaling_relation_equals_two_solve_oracle(monkeypatch, name, f, truncation):
+    """Verdicts equal the oracle's; an in-span member takes one elimination,
+    because the carried coefficients already certify the dilation."""
+    p = f.prime
+    rng = random.Random(name)
+    spec = stabilizer_spec(f)
+    solves = []
+    monkeypatch.setattr(mra, "solve_in_span",
+                        lambda gens, target: solves.append(1) or solve_in_span(gens, target))
+    for gamma in (0, 1):
+        gens = span_probe(f, spec, gamma, truncation).generators
+        for member in _members(rng, gens, p):
+            solves.clear()
+            assert scaling_relation_check(f, spec, member, gamma, truncation) \
+                == two_solve_scaling_check(f, spec, member, gamma, truncation)
+            assert len(solves) == 1
+        far = TestFunction.single(
+            wavelet_index(f.gamma_min() - 2, Fraction(1, p * p), 1, p))
+        for outsider in (far, gens[0] + far):
+            with pytest.raises(SpanError):
+                two_solve_scaling_check(f, spec, outsider, gamma, truncation)
+            with pytest.raises(SpanError):
+                scaling_relation_check(f, spec, outsider, gamma, truncation)
+
+
+class TestCovariantMechanism:
+    @staticmethod
+    def record(monkeypatch):
+        """Record each span_probe exponent and each orbit_members call as
+        (gamma, J, number of translations)."""
+        probes, calls = [], []
+        span_probe_, orbit_members_ = mra.span_probe, mra.orbit_members
+
+        def probe(f, spec, gamma, truncation):
+            probes.append(gamma)
+            return span_probe_(f, spec, gamma, truncation)
+
+        def members(f, spec, gamma, J, translations):
+            calls.append((gamma, J, len(translations)))
+            return orbit_members_(f, spec, gamma, J, translations)
+
+        monkeypatch.setattr(mra, "span_probe", probe)
+        monkeypatch.setattr(mra, "orbit_members", members)
+        return probes, calls
+
+    @pytest.mark.parametrize("gamma1,gamma2", [(0, 2), (2, 0), (-1, 1)])
+    def test_one_probe_and_one_member_per_J(self, monkeypatch, gamma1, gamma2):
+        f = random_generic_function(random.Random(5), 3, max_terms=3,
+                                    gamma_range=(-1, 1), max_digits=1)
+        spec = stabilizer_spec(f)
+        lo, hi = sorted((gamma1, gamma2))
+        grid = len(span_probe(f, spec, lo, 1).labels) // len(dilation_indices(spec))
+        probes, calls = self.record(monkeypatch)
+        for g, width in ((f, 1), (as_float(f), grid)):
+            probes.clear()
+            calls.clear()
+            wavelet_space_gram(g, spec, gamma1, gamma2, 1)
+            assert probes == [lo]
+            assert [c for c in calls if c[0] == hi] \
+                == [(hi, J, width) for J in dilation_indices(spec)]
+            assert [c for c in calls if c[0] == lo] \
+                == [(lo, J, grid) for J in dilation_indices(spec)]
+
+    @pytest.mark.parametrize("mutant,in_span", [("rotated", True), ("undilated", False)])
+    def test_missed_carry_falls_back_to_the_oracle_verdict(self, monkeypatch, mutant,
+                                                          in_span):
+        """The generators at gamma + 1 replaced by a mutant that the carried
+        coefficients no longer match: rotated by one place (the same span),
+        or the generators at gamma (a span that misses the dilation).  The
+        check solves again, and its verdict is the oracle's."""
+        f = two_scale_function()
+        spec = stabilizer_spec(f)
+        gens = span_probe(f, spec, 0, 1).generators
+        member = gens[0] + gens[3].scaled(root_of_unity(2, 3))
+        dilated = act_on_function(affine(3, 0, 3), member)
+        target = span_probe(f, spec, 1, 1)
+        mutated = (target.generators[1:] + target.generators[:1] if mutant == "rotated"
+                   else gens)
+        monkeypatch.setattr(
+            mra, "span_probe",
+            lambda f_, spec_, gamma, truncation: span_probe(f_, spec_, gamma, truncation)
+            if gamma == 0 else SpanProbe(gamma, truncation, mutated, target.labels))
+        solves = []
+        monkeypatch.setattr(mra, "solve_in_span",
+                            lambda gens, target: solves.append(1) or solve_in_span(gens, target))
+        assert scaling_relation_check(f, spec, member, 0, 1) is in_span
+        assert (solve_in_span(mutated, dilated) is not None) is in_span
+        assert len(solves) == 2
