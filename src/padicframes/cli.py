@@ -205,7 +205,7 @@ def _oracle_deviation(f1: TestFunction, f2: TestFunction) -> float:
     resolution, support = map(max, default_lattice(f1), default_lattice(f2))
     oracle = inner_product_oracle(
         sample(f1, resolution, support), sample(f2, resolution, support))
-    symbolic = f1.field.to_complex(inner_product_symbolic(f1, f2))
+    symbolic = complex(inner_product_symbolic(f1, f2))
     return abs(oracle - symbolic)
 
 
@@ -231,9 +231,9 @@ def _default_mra_function(p: int) -> TestFunction:
 
 
 def _cmd_mra_demo(cfg: RunConfig) -> tuple[dict, int]:
-    f = cfg.function if cfg.function is not None else _default_mra_function(cfg.prime)
-    if f.mode != EXACT:
+    if cfg.mode != EXACT:  # checked before the exact default function is picked
         raise ModeMismatchError("span solving works on exact coefficients")
+    f = cfg.function if cfg.function is not None else _default_mra_function(cfg.prime)
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 3)
     shifts = [CosetRepresentative(p, num, 0, _den_exponent=digit_cap)

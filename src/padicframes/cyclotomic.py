@@ -178,7 +178,7 @@ class CycloNumber:
         return not any(self._num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self._num)
 
     # -- field structure ---------------------------------------------------
 
@@ -243,6 +243,8 @@ class CycloNumber:
              for k, n in enumerate(self._num) if n),
             complex(0),
         )
+
+    __complex__ = to_complex
 
     def zeta_powers(self) -> list[tuple[int, str]]:
         """Sparse serialization: (power, rational string) pairs."""

@@ -422,7 +422,7 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
                         for wg, cg in g_terms:
                             cm = member.get(wg)
                             if cm is not None:
-                                value = value + cg * field.conj(cm)
+                                value = value + cg * cm.conjugate()
                         energy = energy + field.scale(field.nsq(value), mult)
                     total = total + energy
             for (wf, wg), count in zip(pairs, counts):

@@ -19,6 +19,9 @@ generators at gamma + 1.  Those generators are still built by the group
 action, not by dilating the span at gamma, and the carried combination is
 compared exactly with the dilated member, so the check is not circular.
 
+Gram, span and scaling checks decide on exact coefficients only: a float
+function is refused with ``ModeMismatchError`` before any generator is built.
+
 Convention: spaces are labelled here by the orbit dilation exponent gamma
 (the group element is (p**gamma J, p**gamma J n)); a label flip gamma -> -gamma
 matches the usual decreasing multiresolution ladder.
@@ -33,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
 from .errors import ModeMismatchError, SpanError
-from .frames import OrbitIndex, dilation_indices, orbit_members
+from .frames import dilation_indices, orbit_members
 from .padic import CosetRepresentative, digit_grid, rational_norm
 from .wavelets import EXACT, Coeff, TestFunction, WaveletIndex
 
@@ -64,7 +67,6 @@ class SpanProbe:
     gamma: int
     truncation: int
     generators: tuple[TestFunction, ...]
-    labels: tuple[OrbitIndex, ...]
 
 
 def _translations(p: int, spec: StabilizerSpec,
@@ -90,12 +92,15 @@ def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
     digit positions down to -truncation, J outer and n in ``digit_grid``
     order.  The translation grid is built once and each J takes one
     ``orbit_members`` call, so the members of one J share their target
-    labels and phased coefficients."""
+    wavelet indices and phased coefficients."""
     translations = list(_translations(f.prime, spec, truncation))
-    labels = tuple(OrbitIndex(gamma, n, J)
-                   for J in dilation_indices(spec) for n in translations)
-    return SpanProbe(gamma, truncation,
-                     tuple(_members(f, spec, gamma, translations)), labels)
+    return SpanProbe(gamma, truncation, tuple(_members(f, spec, gamma, translations)))
+
+
+def _require_exact(*functions: TestFunction) -> None:
+    """Refuse float coefficients: the checks below decide in Q(zeta_p)."""
+    if any(g.mode != EXACT for g in functions):
+        raise ModeMismatchError("span solving works on exact coefficients")
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def cross_gram_rows(gens1: Sequence[TestFunction],
     buckets: dict[WaveletIndex, list] = {}
     for col, v in enumerate(gens2):
         for idx, c in v.terms.items():
-            buckets.setdefault(idx, []).append((col, v.field.conj(c)))
+            buckets.setdefault(idx, []).append((col, c.conjugate()))
     for u in gens1:
         row: dict[int, Coeff] = {}
         for idx, cu in u.terms.items():
@@ -134,7 +139,7 @@ def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
     truncated translation grid, in that slot order; orthogonal means every
     entry is exactly zero, and ``entries`` counts the full N1 * N2 matrix.
 
-    Exact entries are decided from one member per J on the larger exponent.
+    Entries are decided from one member per J on the larger exponent.
     Write lo <= hi for the two exponents, and take members
     u = (p**lo J_lo, p**lo J_lo n_lo) f and v = (p**hi J_hi, p**hi J_hi n_hi) f.
     The translation h = (1, -p**hi J_hi n_hi) is unitary, so
@@ -146,24 +151,21 @@ def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
     exactly.  For each n_hi the map on n_lo is a bijection of the grid, so
     the n_hi = 0 members of a (J_lo, J_hi) block meet every value of that
     block.  Exact values are canonical, so equal entries give equal floats.
-    Float entries agree only up to rounding, so a non-canonical field keeps
-    the full grid on both sides and its bits do not depend on this argument.
 
     Only generator pairs that share a wavelet index are accumulated
     (``cross_gram_rows``).
     """
-    field = f.field
+    _require_exact(f)
     lo, hi = sorted((gamma1, gamma2))
     full = span_probe(f, spec, lo, truncation).generators
-    grid = _translations(f.prime, spec, truncation)
-    reps = _members(f, spec, hi, [next(grid)] if field.canonical else list(grid))
+    reps = _members(f, spec, hi, [next(_translations(f.prime, spec, truncation))])
     max_abs = 0.0
     orthogonal = True
     for row in cross_gram_rows(*((reps, full) if gamma1 > gamma2 else (full, reps))):
         for ip in row.values():
-            if not field.is_zero(ip):
+            if ip:
                 orthogonal = False
-                max_abs = max(max_abs, abs(field.to_complex(ip)))
+                max_abs = max(max_abs, abs(complex(ip)))
     # both sides run over the same J values and translation grid
     return GramSummary(orthogonal, max_abs, len(full) ** 2)
 
@@ -183,10 +185,8 @@ def solve_in_span(generators: Sequence[TestFunction],
     cancels.  The candidate solution is verified by exact recombination, so
     a non-None answer is a certificate.
     """
-    if target.mode != EXACT or any(g.mode != EXACT for g in generators):
-        raise ModeMismatchError("span solving works on exact coefficients")
-    p = target.prime
-    zero = target.field.zero(p)
+    _require_exact(target, *generators)
+    zero = target.field.zero(target.prime)
     by_index: dict[WaveletIndex, dict[int, CycloNumber]] = {
         idx: {} for idx in target.terms}
     for col, g in enumerate(generators):
@@ -229,12 +229,14 @@ def solve_in_span(generators: Sequence[TestFunction],
     for col, r in pivot_of_col.items():
         solution[col] = rhs[r]
 
-    return solution if _combine(p, generators, solution) == target else None
+    return solution if _expresses(generators, solution, target) else None
 
 
-def _combine(p: int, generators: Sequence[TestFunction],
-             coefficients: Sequence[CycloNumber]) -> TestFunction:
-    """The exact sum of coefficients[k] * generators[k]."""
+def _expresses(generators: Sequence[TestFunction],
+               coefficients: Sequence[CycloNumber], target: TestFunction) -> bool:
+    """Whether the exact sum of coefficients[k] * generators[k] is target.
+    A sum with no terms is the zero function; it is compared without being
+    built, because building an empty function checks its prime again."""
     combined: dict[WaveletIndex, CycloNumber] = {}
     for coeff, gen in zip(coefficients, generators):
         if coeff.is_zero():
@@ -242,7 +244,9 @@ def _combine(p: int, generators: Sequence[TestFunction],
         for idx, c in gen.terms.items():
             term = c * coeff
             combined[idx] = combined[idx] + term if idx in combined else term
-    return TestFunction(p, EXACT, combined)
+    if not combined:
+        return target.is_zero()
+    return TestFunction(target.prime, EXACT, combined) == target
 
 
 def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,
@@ -263,11 +267,12 @@ def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,
     exactly, that is a certificate.  Otherwise the dilated member is solved
     for afresh, so the verdict is the one a second elimination gives.
     """
+    _require_exact(f, member)
     source = span_probe(f, spec, gamma, truncation)
     coefficients = solve_in_span(source.generators, member)
     if coefficients is None:
         raise SpanError("function is not in the span at the stated exponent")
     dilated = act_on_function(affine(f.prime, 0, f.prime), member)
     target = span_probe(f, spec, gamma + 1, truncation).generators
-    return (_combine(f.prime, target, coefficients) == dilated
+    return (_expresses(target, coefficients, dilated)
             or solve_in_span(target, dilated) is not None)

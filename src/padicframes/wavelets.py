@@ -12,8 +12,11 @@ Q(zeta_p).  Irrational factors appear only in the floating-point sampling
 oracle below.
 
 A function's ``mode`` names its coefficient field: ``ExactField`` (Q(zeta_p))
-or ``FloatField`` (complex doubles, a cross-check).  Callers reach coefficient
-arithmetic through ``f.field`` instead of branching on the mode.  Labels have
+or ``FloatField`` (complex doubles, a cross-check).  A field holds only what
+differs between the two: ``zero``, ``real_zero``, ``one``, ``nsq``, ``phase``,
+``scale``, ``check`` and ``residual_is_zero``; callers reach those through
+``f.field`` instead of branching on the mode, and call the coefficient
+itself for ``conjugate()``, ``complex(c)`` and ``bool(c)``.  Labels have
 checked p already, so the fields build constants and phases unchecked.
 """
 
@@ -31,7 +34,14 @@ from .errors import (
     PrimeMismatchError,
     ResolutionError,
 )
-from .padic import CosetRepresentative, digit_grid, ppow, rational_norm, rep_mod
+from .padic import (
+    CosetRepresentative,
+    check_prime,
+    digit_grid,
+    ppow,
+    rational_norm,
+    rep_mod,
+)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -95,8 +105,6 @@ def wavelet_index(gamma: int, n: Union[Fraction, int, str], j: int, p: int) -> W
 class ExactField:
     """Coefficients in Q(zeta_p) as ``CycloNumber``; every result is exact."""
 
-    canonical = True  # equal values are stored identically, so convert identically
-
     def zero(self, p: int) -> CycloNumber:
         return CycloNumber(p, (0,) * (p - 1), _den=1)
 
@@ -105,21 +113,12 @@ class ExactField:
     def one(self, p: int) -> CycloNumber:
         return CycloNumber(p, (1,) + (0,) * (p - 2), _den=1)
 
-    def conj(self, c: CycloNumber) -> CycloNumber:
-        return c.conjugate()
-
     def nsq(self, c: CycloNumber) -> CycloNumber:
         return c.norm_sq()
 
     def phase(self, c: CycloNumber, m: int, p: int) -> CycloNumber:
         """Multiply by the p-th root of unity of exponent m."""
         return c.times_zeta(m)
-
-    def to_complex(self, c: CycloNumber) -> complex:
-        return c.to_complex()
-
-    def is_zero(self, c: CycloNumber) -> bool:
-        return c.is_zero()
 
     def scale(self, value: CycloNumber, count: int) -> CycloNumber:
         return value.scale(count)
@@ -139,8 +138,6 @@ class FloatField:
     """Coefficients as ``complex`` doubles; squared norms, energies and
     residuals are ``float``, and residuals are zero within a tolerance."""
 
-    canonical = False  # values equal in exact arithmetic may differ in rounding
-
     def zero(self, p: int) -> complex:
         return complex(0)
 
@@ -150,9 +147,6 @@ class FloatField:
     def one(self, p: int) -> complex:
         return complex(1)
 
-    def conj(self, c) -> complex:
-        return complex(c).conjugate()
-
     def nsq(self, c) -> float:
         z = complex(c)
         return z.real * z.real + z.imag * z.imag
@@ -161,12 +155,6 @@ class FloatField:
         if m % p == 0:
             return c
         return complex(c) * cmath.exp(2j * cmath.pi * (m % p) / p)
-
-    def to_complex(self, c) -> complex:
-        return complex(c)
-
-    def is_zero(self, c) -> bool:
-        return complex(c) == 0
 
     def scale(self, value, count: int):
         return value * count
@@ -207,8 +195,10 @@ class TestFunction:
             if idx.prime != self.prime:
                 raise ModeMismatchError("index prime differs from function prime")
             c = field.check(c, self.prime)
-            if not field.is_zero(c):
+            if c:
                 clean[idx] = c
+        if not self.terms:  # a nonempty function's indices have checked p
+            check_prime(self.prime)
         object.__setattr__(self, "terms", clean)
 
     @property
@@ -277,12 +267,11 @@ def inner_product_symbolic(f: TestFunction, g: TestFunction):
         raise PrimeMismatchError("mixed primes")
     if f.mode != g.mode:
         raise ModeMismatchError("mixed coefficient modes")
-    field = f.field
-    total = field.zero(f.prime)
+    total = f.field.zero(f.prime)
     for idx, cf in f.terms.items():
         cg = g.terms.get(idx)
         if cg is not None:
-            total = total + cf * field.conj(cg)
+            total = total + cf * cg.conjugate()
     return total
 
 
@@ -318,8 +307,7 @@ def wavelet_eval(idx: WaveletIndex, x: Union[Fraction, int]) -> complex:
 def evaluate_at(f: TestFunction, x: Union[Fraction, int]) -> complex:
     """Pointwise value of the expansion, in double precision."""
     return sum(
-        (f.field.to_complex(c) * wavelet_eval(idx, x)
-         for idx, c in f.terms.items()),
+        (complex(c) * wavelet_eval(idx, x) for idx, c in f.terms.items()),
         complex(0),
     )
 
@@ -389,7 +377,7 @@ def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFu
     zero = complex(0)
     sums: dict[int, complex] = {}
     for idx, c in f.terms.items():
-        cz = f.field.to_complex(c)
+        cz = complex(c)
         amp = p ** (-idx.gamma / 2)
         step = p ** (exponent - idx.gamma)
         base = idx.n.numerator_over(exponent - idx.gamma)

@@ -440,7 +440,7 @@ def reference_sample(f, resolution, support_exponent):
     p = f.prime
     values = {}
     for idx, c in f.terms.items():
-        cz = f.field.to_complex(c)
+        cz = complex(c)
         center = idx.support_center()
         for offset in fraction_digit_grid(p, -idx.gamma, resolution):
             x = rep_mod(center + offset, p, resolution)

@@ -163,14 +163,18 @@ class TestAnalysisCommands:
         assert block["orthogonality_threshold_observed"] == 2
         assert block["orthogonal_by_distance"] == {"1": False, "2": True}
 
-    def test_mra_demo_refuses_float_before_any_work(self, monkeypatch, capsys):
+    def test_mra_demo_refuses_float_before_any_work(self, monkeypatch, tmp_path, capsys):
+        """With or without a function: a float config without one must not
+        fall back to the exact default function."""
         work = []
         for name in ("scaling_shift_gram", "wavelet_space_gram", "span_probe"):
             monkeypatch.setattr(mra, name, lambda *args, name=name: work.append(name))
-        code, out, err = run_cli(capsys, "--config", str(GOLDEN_DIR / "float.json"),
-                                 "--command", "mra-demo")
-        assert (code, out, work) == (2, "", [])
-        assert err == "config: span solving works on exact coefficients\n"
+        no_function = tmp_path / "float-default.json"
+        no_function.write_text(json.dumps({"prime": 3, "mode": "float"}))
+        for cfg in (GOLDEN_DIR / "float.json", no_function):
+            code, out, err = run_cli(capsys, "--config", str(cfg), "--command", "mra-demo")
+            assert (code, out, work) == (2, "", [])
+            assert err == "config: span solving works on exact coefficients\n"
 
 
 class TestDeterminismAndIo:

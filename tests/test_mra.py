@@ -17,7 +17,7 @@ from orbit_strategies import (
 from padicframes import mra
 from padicframes.affine import act_on_function, affine, stabilizer_spec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
-from padicframes.errors import SpanError
+from padicframes.errors import ModeMismatchError, SpanError
 from padicframes.frames import OrbitIndex, dilation_indices
 from padicframes.mra import (
     GramSummary,
@@ -158,13 +158,16 @@ class TestScalingRelation:
         spec = stabilizer_spec(f)
         source = span_probe(f, spec, 0, 1)
         target = span_probe(f, spec, 1, 1)
+        # span_probe lists J outer and n in digit-grid order
+        labels = [(J, n) for J in dilation_indices(spec)
+                  for n in fraction_digit_grid(3, -1, 1 - spec.gamma_0)]
+        assert len(source.generators) == len(target.generators) == len(labels)
         dilation = affine(3, 0, 3)
         images = [act_on_function(dilation, gen) for gen in source.generators]
-        for image, idx_label in zip(images, source.labels):
+        for image, label in zip(images, labels):
             matches = [k for k, gen in enumerate(target.generators) if gen == image]
             assert len(matches) == 1
-            assert target.labels[matches[0]].J == idx_label.J
-            assert target.labels[matches[0]].n == idx_label.n
+            assert labels[matches[0]] == label
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,6 @@ def dense_gram(f, spec, gamma1, gamma2, truncation):
     """Every pairwise inner_product_symbolic between the two probes."""
     probe1 = span_probe(f, spec, gamma1, truncation)
     probe2 = span_probe(f, spec, gamma2, truncation)
-    field = f.field
     max_abs = 0.0
     orthogonal = True
     entries = 0
@@ -184,9 +186,9 @@ def dense_gram(f, spec, gamma1, gamma2, truncation):
         for v in probe2.generators:
             ip = inner_product_symbolic(u, v)
             entries += 1
-            if not field.is_zero(ip):
+            if ip:
                 orthogonal = False
-                max_abs = max(max_abs, abs(field.to_complex(ip)))
+                max_abs = max(max_abs, abs(complex(ip)))
     return GramSummary(orthogonal, max_abs, entries)
 
 
@@ -236,14 +238,13 @@ def full_gram(f, spec, gamma1, gamma2, truncation):
     with no block decided from one row."""
     probe1 = span_probe(f, spec, gamma1, truncation)
     probe2 = span_probe(f, spec, gamma2, truncation)
-    field = f.field
     max_abs = 0.0
     orthogonal = True
     for row in cross_gram_rows(probe1.generators, probe2.generators):
         for ip in row.values():
-            if not field.is_zero(ip):
+            if ip:
                 orthogonal = False
-                max_abs = max(max_abs, abs(field.to_complex(ip)))
+                max_abs = max(max_abs, abs(complex(ip)))
     entries = len(probe1.generators) * len(probe2.generators)
     return GramSummary(orthogonal, max_abs, entries)
 
@@ -290,32 +291,60 @@ ORACLE_IDS = [name for name, _, _ in ORACLE_INPUTS]
 @pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
 def test_gram_equals_dense_oracle(name, f, truncation):
     spec = stabilizer_spec(f)
-    floaty = as_float(f)
     for distance in range(1, f.scale_spread() + 2):
-        for g in (f, floaty):
-            sparse = wavelet_space_gram(g, spec, 0, distance, truncation)
-            dense = dense_gram(g, spec, 0, distance, truncation)
-            assert sparse == dense
-            # bit-identical, not merely equal as floats
-            assert sparse.max_abs_entry.hex() == dense.max_abs_entry.hex()
+        sparse = wavelet_space_gram(f, spec, 0, distance, truncation)
+        dense = dense_gram(f, spec, 0, distance, truncation)
+        assert sparse == dense
+        # bit-identical, not merely equal as floats
+        assert sparse.max_abs_entry.hex() == dense.max_abs_entry.hex()
 
 
 @pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
 def test_gram_rows_equal_pairwise_inner_products(name, f, truncation):
     """Entry by entry: absent entries are zero, present ones equal the
-    pairwise inner product (float ones bit for bit, up to the sign of 0)."""
+    pairwise inner product."""
     spec = stabilizer_spec(f)
-    for g in (f, as_float(f)):
-        zero = g.field.zero(g.prime)
-        for distance in range(1, f.scale_spread() + 2):
-            gens1 = span_probe(g, spec, 0, truncation).generators
-            gens2 = span_probe(g, spec, distance, truncation).generators
-            rows = list(cross_gram_rows(gens1, gens2))
-            assert len(rows) == len(gens1)
-            for u, row in zip(gens1, rows):
-                assert set(row) <= set(range(len(gens2)))
-                for col, v in enumerate(gens2):
-                    assert row.get(col, zero) == inner_product_symbolic(u, v)
+    zero = CycloNumber.zero(f.prime)
+    for distance in range(1, f.scale_spread() + 2):
+        gens1 = span_probe(f, spec, 0, truncation).generators
+        gens2 = span_probe(f, spec, distance, truncation).generators
+        rows = list(cross_gram_rows(gens1, gens2))
+        assert len(rows) == len(gens1)
+        for u, row in zip(gens1, rows):
+            assert set(row) <= set(range(len(gens2)))
+            for col, v in enumerate(gens2):
+                assert row.get(col, zero) == inner_product_symbolic(u, v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_float_gram_solve_and_scaling_refused_before_any_member(monkeypatch, p):
+    """Gram, span solving and the scaling relation decide in Q(zeta_p): a
+    float function anywhere raises ModeMismatchError before any orbit
+    member is built."""
+    f = two_scale_function(p)
+    spec = stabilizer_spec(f)
+    gens = span_probe(f, spec, 0, 1).generators
+    floaty = as_float(f)
+    float_gens = tuple(as_float(g) for g in gens)
+    calls = []
+    orbit_members_ = mra.orbit_members
+    monkeypatch.setattr(mra, "orbit_members",
+                        lambda *args: calls.append(1) or orbit_members_(*args))
+    refused = [
+        lambda: wavelet_space_gram(floaty, spec, 0, 1, 1),
+        lambda: wavelet_space_gram(floaty, spec, 1, 0, 0),
+        lambda: solve_in_span(float_gens, float_gens[0]),
+        lambda: solve_in_span(gens, float_gens[0]),
+        lambda: solve_in_span(float_gens, gens[0]),
+        lambda: scaling_relation_check(floaty, spec, float_gens[0], 0, 1),
+        lambda: scaling_relation_check(f, spec, float_gens[0], 0, 1),
+        lambda: scaling_relation_check(floaty, spec, gens[0], 0, 1),
+    ]
+    for call in refused:
+        with pytest.raises(ModeMismatchError, match="exact coefficients"):
+            call()
+    assert calls == []
+    assert scaling_relation_check(f, spec, gens[0], 0, 1) and calls
 
 
 def _members(rng, gens, p):
@@ -404,8 +433,8 @@ def test_span_probe_equals_group_action(data):
     spec = orbit_spec(p, gamma_a, gamma_0)
     gamma = data.draw(st.integers(-2, 2))
     probe = span_probe(f, spec, gamma, truncation)
-    labels, members = span_probe_oracle(f, spec, gamma, truncation)
-    assert probe.labels == tuple(labels)
+    _, members = span_probe_oracle(f, spec, gamma, truncation)
+    # the oracle builds one member per label of dilation_indices x grid, in order
     assert_same_members(probe.generators, members)
 
 
@@ -445,13 +474,12 @@ def gram_pairs(f):
 @pytest.mark.parametrize("name,f,truncations", COVARIANT_INPUTS, ids=COVARIANT_IDS)
 def test_gram_equals_full_gram_oracle(name, f, truncations):
     spec = stabilizer_spec(f)
-    for g in (f, as_float(f)):
-        for truncation in truncations:
-            for gamma1, gamma2 in gram_pairs(f):
-                fast = wavelet_space_gram(g, spec, gamma1, gamma2, truncation)
-                slow = full_gram(g, spec, gamma1, gamma2, truncation)
-                assert fast == slow
-                assert fast.max_abs_entry.hex() == slow.max_abs_entry.hex()
+    for truncation in truncations:
+        for gamma1, gamma2 in gram_pairs(f):
+            fast = wavelet_space_gram(f, spec, gamma1, gamma2, truncation)
+            slow = full_gram(f, spec, gamma1, gamma2, truncation)
+            assert fast == slow
+            assert fast.max_abs_entry.hex() == slow.max_abs_entry.hex()
 
 
 def test_gram_oracle_cases_include_nonzero_blocks():
@@ -516,17 +544,14 @@ class TestCovariantMechanism:
                                     gamma_range=(-1, 1), max_digits=1)
         spec = stabilizer_spec(f)
         lo, hi = sorted((gamma1, gamma2))
-        grid = len(span_probe(f, spec, lo, 1).labels) // len(dilation_indices(spec))
+        grid = len(list(fraction_digit_grid(3, -1, 1 - spec.gamma_0)))
         probes, calls = self.record(monkeypatch)
-        for g, width in ((f, 1), (as_float(f), grid)):
-            probes.clear()
-            calls.clear()
-            wavelet_space_gram(g, spec, gamma1, gamma2, 1)
-            assert probes == [lo]
-            assert [c for c in calls if c[0] == hi] \
-                == [(hi, J, width) for J in dilation_indices(spec)]
-            assert [c for c in calls if c[0] == lo] \
-                == [(lo, J, grid) for J in dilation_indices(spec)]
+        wavelet_space_gram(f, spec, gamma1, gamma2, 1)
+        assert probes == [lo]
+        assert [c for c in calls if c[0] == hi] \
+            == [(hi, J, 1) for J in dilation_indices(spec)]
+        assert [c for c in calls if c[0] == lo] \
+            == [(lo, J, grid) for J in dilation_indices(spec)]
 
     @pytest.mark.parametrize("mutant,in_span", [("rotated", True), ("undilated", False)])
     def test_missed_carry_falls_back_to_the_oracle_verdict(self, monkeypatch, mutant,
@@ -546,7 +571,7 @@ class TestCovariantMechanism:
         monkeypatch.setattr(
             mra, "span_probe",
             lambda f_, spec_, gamma, truncation: span_probe(f_, spec_, gamma, truncation)
-            if gamma == 0 else SpanProbe(gamma, truncation, mutated, target.labels))
+            if gamma == 0 else SpanProbe(gamma, truncation, mutated))
         solves = []
         monkeypatch.setattr(mra, "solve_in_span",
                             lambda gens, target: solves.append(1) or solve_in_span(gens, target))

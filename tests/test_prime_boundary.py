@@ -75,3 +75,13 @@ def test_computations_do_not_check_the_prime_again(monkeypatch, p):
     assert wavelet_space_gram(f, spec, 0, 1, truncation).entries > 0
     verdict = genericity_check(witness_f)
     assert not verdict.generic_up_to_depth and verdict.witnesses
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_empty_function_checks_its_prime(mode, p):
+    """An empty function has no label that checked its prime, so its
+    constructor checks p; at a prime it builds and has norm zero."""
+    with pytest.raises(ValueError, match=f"not a prime: {p}"):
+        TestFunction(p, mode, {})
+    assert not norm_sq(TestFunction(3, mode, {}))
