@@ -5,11 +5,12 @@ a basis wavelet to a p-th root of unity times another basis wavelet, so on
 finite expansions it is computed exactly, by one integer kernel: with
 a = p**v u, the label (gamma, n, j) goes to (gamma - v, {y}, j u^-1 mod p)
 times zeta**m, where y = u (n + p**gamma b/a) is read on integers over one
-p-power (see ``_act_terms``).  ``act_on_wavelet``, ``act_on_function`` and
-``frames.orbit_members``, which moves one dilation along many translations,
-all run on that kernel.  Stabilizers of balls, wavelets and generic
-expansions have closed forms in terms of two norm inequalities.  Genericity
-is certified over a finite digit quotient of group elements, one
+p-power (see ``_act_terms``; ``padic._p_part`` splits the p-power off).
+``act_on_wavelet``, ``act_on_function`` and ``frames.orbit_members``, which
+moves one dilation along many translations, all run on that kernel.
+Stabilizers of balls, wavelets and generic expansions have closed forms in
+two norm inequalities, each decided as a comparison of valuations.
+Genericity is certified over a finite digit quotient of group elements, one
 translation class at a time: the action and the closed form give the same
 answer on every cell of a class, and only the few classes that carry a
 minimal-scale term onto a term of the function, or that meet the
@@ -34,8 +35,8 @@ from .padic import (
     CosetRepresentative,
     PadicScalar,
     check_prime,
+    _p_part,
     ppow,
-    rational_norm,
     rational_valuation,
     rep_mod,
 )
@@ -115,15 +116,6 @@ class PhasedWavelet:
 # ---------------------------------------------------------------------------
 # Action on wavelets
 # ---------------------------------------------------------------------------
-
-
-def _p_part(k: int, p: int) -> tuple[int, int]:
-    """(e, r) with k == p**e * r and r prime to p, for k != 0."""
-    e = 0
-    while k % p == 0:
-        k //= p
-        e += 1
-    return e, k
 
 
 def _own_translation(g: AffineElement) -> tuple[int, int, int]:
@@ -234,10 +226,10 @@ def ball_stabilizer_membership(g: AffineElement, gamma: int, n: CosetRepresentat
     p**-gamma * n and radius p**gamma."""
     p = g.p
     a, b = g.a.value, g.b.value
-    if rational_norm(a, p) != 1:
+    if rational_valuation(a, p) != 0:
         return False
     center = ppow(p, -gamma) * n.value * (1 - a)
-    return rational_norm(b - center, p) <= ppow(p, gamma)
+    return rational_valuation(b - center, p) >= -gamma
 
 
 def wavelet_stabilizer_membership(g: AffineElement, idx: WaveletIndex) -> bool:
@@ -310,13 +302,13 @@ def stabilizer_spec(f: TestFunction) -> StabilizerSpec:
 
 
 def in_stabilizer(g: AffineElement, spec: StabilizerSpec) -> bool:
-    """Evaluate the two closed-form norm inequalities exactly."""
+    """The two closed-form norm inequalities, as valuation comparisons."""
     p = g.p
     a, b = g.a.value, g.b.value
-    if rational_norm(1 - a, p) > ppow(p, -spec.gamma_a):
+    if rational_valuation(1 - a, p) < spec.gamma_a:
         return False
     center = ppow(p, -spec.gamma_0) * spec.n_0.value * (1 - a)
-    return rational_norm(b - center, p) <= ppow(p, spec.gamma_0 - 1)
+    return rational_valuation(b - center, p) >= 1 - spec.gamma_0
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +382,8 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
          and t = p**(w - gamma_0) n_0 (1 - a) modulo p**k.
 
     One representative of each of these classes is evaluated exactly, by the
-    action and by the closed form; every other class is neither invariant
-    nor predicted.  Witness and violation classes are expanded back to their
+    action (``TestFunction.agrees``) and by the closed form; every other
+    class is neither invariant nor predicted.  Witness and violation classes are expanded back to their
     cells in ascending t within each a, so the verdict, witness order
     included, is the one a cell-by-cell comparison gives.
     """
@@ -436,7 +428,7 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
         broken: list[int] = []
         for c in classes:
             g = AffineElement(PadicScalar(a, p), PadicScalar(c * b_scale, p))
-            invariant = act_on_function(g, f) == f
+            invariant = act_on_function(g, f).agrees(f)
             predicted = in_stabilizer(g, spec)
             if invariant and not predicted:
                 fixed.extend(range(c, b_count, period))

@@ -141,24 +141,25 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
     base_nsq = norm_sq(f)
     uniform = True
     round_trip = True
-    # members share prime and mode, so equal term sets mean equal functions
-    seen = set()
+    distinct = True
+    # members that agree have the same labels, so only those are compared
+    by_labels: dict[frozenset, list[TestFunction]] = {}
     for (gamma, J), group in by_scale.items():
         members = frames.orbit_members(
             f, spec, gamma, J, [idx.n for idx in group])
         for idx, member in zip(group, members):
-            member_nsq = norm_sq(member)
-            # equal norms need no subtraction; otherwise the field's residual test
-            if member_nsq != base_nsq and not f.field.residual_is_zero(
-                    member_nsq - base_nsq, base_nsq, 1):
+            if not f.field.agree(norm_sq(member), base_nsq):
                 uniform = False
             if frames.orbit_index_of(frames.group_element(idx, spec), spec) != idx:
                 round_trip = False
-            seen.add(frozenset(member.terms.items()))
+            same_labels = by_labels.setdefault(frozenset(member.terms), [])
+            if any(member.agrees(other) for other in same_labels):
+                distinct = False
+            same_labels.append(member)
     results = {
         "count": len(indices),
         "uniform_norms": uniform,
-        "pairwise_distinct": len(seen) == len(indices),
+        "pairwise_distinct": distinct,
         "round_trip": round_trip,
     }
     ok = uniform and round_trip

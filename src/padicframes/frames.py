@@ -170,9 +170,7 @@ def orbit_index_of(g: AffineElement, spec: StabilizerSpec) -> OrbitIndex:
     p = spec.prime
     a, b = g.a.value, g.b.value
     gamma = int(rational_valuation(a, p))
-    unit = a * ppow(p, -gamma)
-    modulus = p**spec.gamma_a
-    J = (unit.numerator * pow(unit.denominator, -1, modulus)) % modulus
+    J = int(rep_mod(a * ppow(p, -gamma), p, spec.gamma_a))
     a1 = ppow(p, gamma) * J
     a0 = a / a1
     anchor = ppow(p, -spec.gamma_0) * spec.n_0.value * (1 - a0)

@@ -3,7 +3,7 @@
 Rationals travel as strings "a/b" or "a"; cyclotomic numbers as sparse
 {"zeta_powers": [[power, "a/b"], ...]} lists; complex floats as [re, im];
 test functions as lists of {"gamma", "n", "j", "coeff"} records; group
-elements as {"a": "...", "b": "..."}.
+elements, which only reports carry, as {"a": "...", "b": "..."}.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .affine import AffineElement, affine
+from .affine import AffineElement
 from .cyclotomic import CycloNumber
 from .errors import ConfigError, PadicError
 from .padic import is_prime, parse_rational
@@ -90,13 +90,6 @@ def serialize_function(f: TestFunction) -> list:
          "coeff": serialize_coeff(c, f.mode)}
         for idx, c in f.sorted_terms()
     ]
-
-
-def parse_affine_element(obj: Any, p: int) -> AffineElement:
-    try:
-        return affine(parse_rational(str(obj["a"])), parse_rational(str(obj["b"])), p)
-    except (KeyError, ValueError, TypeError, PadicError) as exc:
-        raise ConfigError(f"bad group element: {exc}") from exc
 
 
 def serialize_affine(g: AffineElement) -> dict:

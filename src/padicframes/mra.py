@@ -37,7 +37,7 @@ from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
 from .errors import ModeMismatchError, SpanError
 from .frames import dilation_indices, orbit_members
-from .padic import CosetRepresentative, digit_grid, rational_norm
+from .padic import CosetRepresentative, digit_grid, rational_valuation
 from .wavelets import EXACT, Coeff, TestFunction, WaveletIndex
 
 
@@ -54,7 +54,7 @@ def scaling_shift_gram(p: int, shifts: Sequence) -> list[list[Fraction]]:
     for ni in values:
         row = []
         for nj in values:
-            same_ball = rational_norm(ni - nj, p) <= 1
+            same_ball = rational_valuation(ni - nj, p) >= 0
             row.append(Fraction(1) if same_ball else Fraction(0))
         out.append(row)
     return out
@@ -234,9 +234,8 @@ def solve_in_span(generators: Sequence[TestFunction],
 
 def _expresses(generators: Sequence[TestFunction],
                coefficients: Sequence[CycloNumber], target: TestFunction) -> bool:
-    """Whether the exact sum of coefficients[k] * generators[k] is target.
-    A sum with no terms is the zero function; it is compared without being
-    built, because building an empty function checks its prime again."""
+    """Whether the exact sum of coefficients[k] * generators[k] is target,
+    compared term by term without building the sum as a function."""
     combined: dict[WaveletIndex, CycloNumber] = {}
     for coeff, gen in zip(coefficients, generators):
         if coeff.is_zero():
@@ -244,9 +243,7 @@ def _expresses(generators: Sequence[TestFunction],
         for idx, c in gen.terms.items():
             term = c * coeff
             combined[idx] = combined[idx] + term if idx in combined else term
-    if not combined:
-        return target.is_zero()
-    return TestFunction(target.prime, EXACT, combined) == target
+    return {idx: c for idx, c in combined.items() if c} == target.terms
 
 
 def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,

@@ -2,7 +2,9 @@
 
 Scalars are exact ``fractions.Fraction`` values read p-adically under a fixed
 prime.  Valuations, norms and canonical representatives are all computed
-without rounding, by plain functions on ``(Fraction, p)`` pairs.
+without rounding, by plain functions on ``(Fraction, p)`` pairs, on one
+split of powers of p off an integer (``_p_part``).  A norm question
+|x|_p <= p**g is decided as the valuation comparison v(x) >= -g.
 
 A translation in Q_p / p**k Z_p is a :class:`CosetRepresentative`, stored on
 integers as N / p**D.  It is checked once, at its public constructor, which
@@ -69,20 +71,20 @@ def ppow(p: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _p_part(k: int, p: int) -> tuple[int, int]:
+    """(e, r) with k == p**e * r and r prime to p, for an integer k != 0."""
+    e = 0
+    while k % p == 0:
+        k //= p
+        e += 1
+    return e, k
+
+
 def rational_valuation(q: Fraction, p: int) -> Valuation:
     """Exponent of p in q; math.inf for q = 0."""
     if q == 0:
         return math.inf
-    v = 0
-    num = q.numerator
-    den = q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _p_part(q.numerator, p)[0] - _p_part(q.denominator, p)[0]
 
 
 def rational_norm(q: Fraction, p: int) -> Fraction:
@@ -96,31 +98,21 @@ def rep_mod(q: Fraction, p: int, k: int) -> Fraction:
     """Canonical representative of q modulo p**k Z_p, for any rational q.
 
     The result is the unique finite digit sum over exponents < k congruent
-    to q; the prime-to-p part of the denominator is absorbed exactly via a
-    modular inverse (1/d is a p-adic integer when p does not divide d).
+    to q.  With q = N / (p**e d) and d prime to p, 1/d is a p-adic integer,
+    so the result is (N d^-1 mod p**(k + e)) / p**e; it is 0 when
+    k + e <= 0, as q then lies in p**k Z_p.
     """
-    if q == 0:
-        return Fraction(0)
-    v = rational_valuation(q, p)
-    if v >= k:
-        return Fraction(0)
-    # q = p^v * m / d with m, d prime to p; digits live at exponents v..k-1
-    scaled = q * ppow(p, -v)
-    m = scaled.numerator
-    d = scaled.denominator
-    modulus = p ** (k - v)
-    digits_value = (m * pow(d, -1, modulus)) % modulus
-    return digits_value * ppow(p, v)
+    e, d = _p_part(q.denominator, p)
+    modulus = p ** max(k + e, 0)
+    return Fraction(q.numerator * pow(d, -1, modulus) % modulus, p**e)
 
 
 def rational_mod_p(q: Fraction, p: int) -> int:
     """Residue of a p-adic integer in Z_p / p Z_p."""
-    v = rational_valuation(q, p)
-    if v is not math.inf and v < 0:
+    residue = rep_mod(q, p, 1)
+    if residue.denominator != 1:
         raise NonUnitError("not a p-adic integer")
-    if q == 0 or v >= 1:
-        return 0
-    return (q.numerator * pow(q.denominator, -1, p)) % p
+    return residue.numerator
 
 
 def digit_expansion(numerator: int, den_exponent: int, p: int) -> dict[int, int]:
@@ -198,10 +190,8 @@ class CosetRepresentative:
                  modulus_exponent: int, *, _den_exponent: Optional[int] = None):
         if _den_exponent is None:
             check_prime(prime)
-            num, den, d = value.numerator, value.denominator, 0
-            while den % prime == 0:
-                den //= prime
-                d += 1
+            num = value.numerator
+            d, den = _p_part(value.denominator, prime)
             if den != 1:
                 raise NotPIntegralError(f"not p-integral denominator: {value}")
             if num and not 0 < num < prime ** max(d + modulus_exponent, 0):

@@ -14,7 +14,8 @@ oracle below.
 A function's ``mode`` names its coefficient field: ``ExactField`` (Q(zeta_p))
 or ``FloatField`` (complex doubles, a cross-check).  A field holds only what
 differs between the two: ``zero``, ``real_zero``, ``one``, ``nsq``, ``phase``,
-``scale``, ``check`` and ``residual_is_zero``; callers reach those through
+``scale``, ``check``, ``residual_is_zero`` and ``agree`` (equality, or
+equality up to rounding for doubles); callers reach those through
 ``f.field`` instead of branching on the mode, and call the coefficient
 itself for ``conjugate()``, ``complex(c)`` and ``bool(c)``.  Labels have
 checked p already, so the fields build constants and phases unchecked.
@@ -39,7 +40,7 @@ from .padic import (
     check_prime,
     digit_grid,
     ppow,
-    rational_norm,
+    rational_valuation,
     rep_mod,
 )
 
@@ -133,6 +134,9 @@ class ExactField:
     def residual_is_zero(self, residual: CycloNumber, bound=None, g_nsq=None) -> bool:
         return residual.is_zero()
 
+    def agree(self, c: CycloNumber, d: CycloNumber) -> bool:
+        return c == d
+
 
 class FloatField:
     """Coefficients as ``complex`` doubles; squared norms, energies and
@@ -168,6 +172,10 @@ class FloatField:
         """|residual| <= 1e-9 * max(|bound * g_nsq|, 1)."""
         scale = abs(bound * g_nsq) if bound is not None and g_nsq is not None else 1.0
         return abs(residual) <= 1e-9 * max(scale, 1.0)
+
+    def agree(self, c, d) -> bool:
+        """c == d up to rounding: c - d is a zero residual against d."""
+        return c == d or self.residual_is_zero(c - d, d, 1)
 
 
 FIELDS = {EXACT: ExactField(), FLOAT: FloatField()}
@@ -227,6 +235,12 @@ class TestFunction:
 
     def max_translation_digits(self) -> int:
         return max(idx.translation_digits() for idx in self.terms)
+
+    def agrees(self, other: "TestFunction") -> bool:
+        """The same labels, with coefficients that ``field.agree``: equality
+        for exact coefficients, equality up to rounding for doubles."""
+        return self.terms.keys() == other.terms.keys() and all(
+            self.field.agree(c, other.terms[idx]) for idx, c in self.terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestFunction):
@@ -291,14 +305,14 @@ def chi_complex(q: Fraction, p: int) -> complex:
 def wavelet_eval(idx: WaveletIndex, x: Union[Fraction, int]) -> complex:
     """Evaluate one basis function at a rational point.
 
-    Any rational x is accepted: the indicator uses the exact norm and the
-    character argument is reduced modulo Z_p exactly (prime-to-p denominator
-    parts are p-adic units, inverted modularly).
+    Any rational x is accepted: the indicator is the valuation test
+    v(y) >= 0 and the character argument is reduced modulo Z_p exactly
+    (prime-to-p denominator parts are p-adic units, inverted modularly).
     """
     x = Fraction(x)
     p = idx.prime
     y = ppow(p, idx.gamma) * x - idx.n.value
-    if rational_norm(y, p) > 1:
+    if rational_valuation(y, p) < 0:
         return complex(0)
     phase = chi_complex(Fraction(idx.j, p) * y, p)
     return p ** (-idx.gamma / 2) * phase

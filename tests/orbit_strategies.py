@@ -17,9 +17,15 @@ of the padic layer that the integer translation format replaced: the
 canonicity check, the digit grid and the digit expansion.  The reference
 wavelet stabilizer is the direct formula that
 ``affine.wavelet_stabilizer_membership`` replaced by the one-term closed form.
+The ``loop_*`` oracles are the bodies that the single p-power split of
+``padic`` replaced: the valuation by two division loops, the canonical
+representative and the residue mod p through the valuation and ``Fraction``
+powers, and the split that ``affine`` kept for itself.  The ``norm_*``
+stabilizer oracles decide on ``Fraction`` norms instead of valuations.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,15 +34,8 @@ from hypothesis import strategies as st
 from padicframes.affine import PhasedWavelet, StabilizerSpec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.frames import OrbitIndex, group_element
-from padicframes.errors import NotPIntegralError
-from padicframes.padic import (
-    CosetRepresentative,
-    ppow,
-    rational_mod_p,
-    rational_norm,
-    rational_valuation,
-    rep_mod,
-)
+from padicframes.errors import NonUnitError, NotPIntegralError
+from padicframes.padic import CosetRepresentative, ppow
 from padicframes.wavelets import (
     EXACT,
     FLOAT,
@@ -66,7 +65,7 @@ def fraction_check_canonical(p, value, k):
         den //= p
     if den != 1:
         raise NotPIntegralError(f"not p-integral denominator: {value}")
-    if rep_mod(value, p, k) != value:
+    if loop_rep_mod(value, p, k) != value:
         raise ValueError(f"{value} is not a canonical representative modulo p**{k}")
 
 
@@ -84,7 +83,7 @@ def fraction_digit_expansion(q, p):
     digits = {}
     if q == 0:
         return digits
-    v = rational_valuation(q, p)
+    v = loop_valuation(q, p)
     m = int(q * ppow(p, -v))
     pos = v
     while m:
@@ -98,6 +97,87 @@ def fraction_digit_expansion(q, p):
 def digit_value(p, digits, lo):
     """sum d_k p**(lo + k) over the digit list."""
     return sum((d * ppow(p, lo + k) for k, d in enumerate(digits)), Fraction(0))
+
+
+def loop_valuation(q, p):
+    """Exponent of p in q by one division loop on the numerator and one on
+    the denominator; math.inf for q = 0."""
+    if q == 0:
+        return math.inf
+    v = 0
+    num = q.numerator
+    den = q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def loop_norm(q, p):
+    """|q|_p as a ``Fraction``, from ``loop_valuation``."""
+    if q == 0:
+        return Fraction(0)
+    return ppow(p, -loop_valuation(q, p))
+
+
+def loop_rep_mod(q, p, k):
+    """Canonical representative of q modulo p**k Z_p: divide out p**v, take
+    the digits at exponents v .. k-1 by a modular inverse, scale back."""
+    if q == 0:
+        return Fraction(0)
+    v = loop_valuation(q, p)
+    if v >= k:
+        return Fraction(0)
+    scaled = q * ppow(p, -v)
+    m = scaled.numerator
+    d = scaled.denominator
+    modulus = p ** (k - v)
+    digits_value = (m * pow(d, -1, modulus)) % modulus
+    return digits_value * ppow(p, v)
+
+
+def loop_mod_p(q, p):
+    """Residue of a p-adic integer in Z_p / p Z_p by its own modular inverse."""
+    v = loop_valuation(q, p)
+    if v is not math.inf and v < 0:
+        raise NonUnitError("not a p-adic integer")
+    if q == 0 or v >= 1:
+        return 0
+    return (q.numerator * pow(q.denominator, -1, p)) % p
+
+
+def loop_p_part(k, p):
+    """(e, r) with k == p**e * r and r prime to p, for k != 0."""
+    e = 0
+    while k % p == 0:
+        k //= p
+        e += 1
+    return e, k
+
+
+def norm_in_stabilizer(g, spec):
+    """The closed-form stabilizer test on ``Fraction`` norms:
+    |1 - a| <= p**-gamma_a and |b - p**-gamma_0 n_0 (1 - a)| <= p**(gamma_0 - 1)."""
+    p = g.p
+    a, b = g.a.value, g.b.value
+    if loop_norm(1 - a, p) > ppow(p, -spec.gamma_a):
+        return False
+    center = ppow(p, -spec.gamma_0) * spec.n_0.value * (1 - a)
+    return loop_norm(b - center, p) <= ppow(p, spec.gamma_0 - 1)
+
+
+def norm_ball_stabilizer_membership(g, gamma, n):
+    """Whether g fixes the normed indicator of the ball with center
+    p**-gamma n and radius p**gamma, on ``Fraction`` norms."""
+    p = g.p
+    a, b = g.a.value, g.b.value
+    if loop_norm(a, p) != 1:
+        return False
+    center = ppow(p, -gamma) * n.value * (1 - a)
+    return loop_norm(b - center, p) <= ppow(p, gamma)
 
 
 def orbit_spec(p, gamma_a, gamma_0):
@@ -151,14 +231,14 @@ def grid_translations(draw, p, truncation, mod_exp):
 def _classify_base_action(a, b, p):
     """Index map of the action on the base wavelet: (a, b) acting on psi
     gives phase m and target (gamma', n', j')."""
-    v = rational_valuation(a, p)
+    v = loop_valuation(a, p)
     gamma = -int(v)
     absa = ppow(p, gamma)
     unit = a * absa
-    j = pow(rational_mod_p(unit, p), -1, p)
+    j = pow(loop_mod_p(unit, p), -1, p)
     y = absa * b
-    n_value = rep_mod(y, p, 0)
-    m = rational_mod_p(j * (n_value - y), p)
+    n_value = loop_rep_mod(y, p, 0)
+    m = loop_mod_p(j * (n_value - y), p)
     return gamma, n_value, j, m
 
 
@@ -198,10 +278,10 @@ def reference_wavelet_stabilizer_membership(g, idx):
     p**gamma b = n (1 - a) mod p."""
     p = g.p
     a, b = g.a.value, g.b.value
-    if rational_norm(1 - a, p) > Fraction(1, p):
+    if loop_norm(1 - a, p) > Fraction(1, p):
         return False
     lhs = ppow(p, idx.gamma) * b - idx.n.value * (1 - a)
-    return rational_norm(lhs, p) <= Fraction(1, p)
+    return loop_norm(lhs, p) <= Fraction(1, p)
 
 
 @st.composite
@@ -261,7 +341,7 @@ def reference_pair_base(wf, wg, J, p):
     """Digits below -wf.gamma of the translations carrying wf onto wg at
     dilation J: p**-wf.gamma (n_g / J - n_f) modulo p**-wf.gamma."""
     target = Fraction(wg.n.value, J) - wf.n.value
-    return rep_mod(ppow(p, -wf.gamma) * target, p, -wf.gamma)
+    return loop_rep_mod(ppow(p, -wf.gamma) * target, p, -wf.gamma)
 
 
 def reference_relevant_orbit_indices(f, spec, g):
@@ -410,7 +490,7 @@ def colliding_frame_cases(draw, p, mode):
             draw(st.integers(1, p - 1)), p))
         probe = list(labels)
     else:
-        n2 = rep_mod(n1 + Fraction(draw(st.integers(1, p - 1)), p), p, 0)
+        n2 = loop_rep_mod(n1 + Fraction(draw(st.integers(1, p - 1)), p), p, 0)
         labels.append(wavelet_index(s, n2, j, p))
         if draw(st.booleans()):
             extra_digits = draw(st.lists(st.integers(0, p - 1), max_size=1))
@@ -434,7 +514,7 @@ def colliding_frame_cases(draw, p, mode):
 
 def reference_sample(f, resolution, support_exponent):
     """``wavelets.sample`` point by point: each term's support offsets from
-    ``fraction_digit_grid``, reduced by ``rep_mod`` and evaluated by
+    ``fraction_digit_grid``, reduced by ``loop_rep_mod`` and evaluated by
     ``wavelet_eval``.
     The lattice is not validated."""
     p = f.prime
@@ -443,7 +523,7 @@ def reference_sample(f, resolution, support_exponent):
         cz = complex(c)
         center = idx.support_center()
         for offset in fraction_digit_grid(p, -idx.gamma, resolution):
-            x = rep_mod(center + offset, p, resolution)
+            x = loop_rep_mod(center + offset, p, resolution)
             values[x] = values.get(x, complex(0)) + cz * wavelet_eval(idx, x)
     values = {x: v for x, v in values.items() if v != 0}
     return SampledFunction(p, resolution, support_exponent, values)

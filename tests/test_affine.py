@@ -11,6 +11,9 @@ from orbit_strategies import (
     PRIMES,
     assert_same_members,
     expansions,
+    grid_translations,
+    norm_ball_stabilizer_membership,
+    norm_in_stabilizer,
     rationals,
     reference_act_on_function,
     reference_act_on_wavelet,
@@ -287,6 +290,34 @@ def test_wavelet_stabilizer_matches_direct_formula(data):
     g = affine(a, b, p)
     assert wavelet_stabilizer_membership(g, idx) == \
         reference_wavelet_stabilizer_membership(g, idx)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_valuation_stabilizer_tests_match_fraction_norms(data):
+    """The closed-form and ball stabilizer tests, decided on valuations,
+    agree with their ``Fraction``-norm forms on ``random_affine`` draws.  A
+    drawn element may be moved to the edge of each test: a = 1 + p**gamma_a a'
+    and b = centre + p**r b', inside exactly when a' and b' are p-adic
+    integers."""
+    p = data.draw(st.sampled_from(PRIMES))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    spec = StabilizerSpec(p, data.draw(st.integers(1, 3)), data.draw(st.integers(-2, 2)),
+                          data.draw(grid_translations(p, 2, 0)))
+    gamma = data.draw(st.integers(-2, 2))
+    g = random_affine(rng, p)
+    a, b = g.a.value, g.b.value
+    if data.draw(st.booleans()) and a != -ppow(p, -spec.gamma_a):
+        a = 1 + ppow(p, spec.gamma_a) * a
+        b = ppow(p, -spec.gamma_0) * spec.n_0.value * (1 - a) + ppow(p, 1 - spec.gamma_0) * b
+    g = affine(a, b, p)
+    assert in_stabilizer(g, spec) == norm_in_stabilizer(g, spec)
+    h = random_affine(rng, p, valuation_range=(0, 0)) if data.draw(st.booleans()) else g
+    if data.draw(st.booleans()):
+        a = h.a.value
+        h = affine(a, ppow(p, -gamma) * spec.n_0.value * (1 - a) + ppow(p, -gamma) * h.b.value, p)
+    assert ball_stabilizer_membership(h, gamma, spec.n_0) \
+        == norm_ball_stabilizer_membership(h, gamma, spec.n_0)
 
 
 class TestStabilizerSpec:

@@ -1,15 +1,21 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from orbit_strategies import fraction_digit_grid
 from padicframes import frames, mra
-from padicframes.affine import stabilizer_spec
+from padicframes.affine import affine, stabilizer_spec
 from padicframes.cli import _ORBIT_CAP, _oracle_deviation, main
 from padicframes.cyclotomic import CycloNumber
-from padicframes.io import load_config, parse_function, serialize_function
+from padicframes.io import (
+    load_config,
+    parse_function,
+    serialize_affine,
+    serialize_function,
+)
 from padicframes.errors import ConfigError, ResolutionError
 from padicframes.padic import CosetRepresentative
 from padicframes.sampling import non_generic_example
@@ -96,6 +102,26 @@ class TestAnalysisCommands:
         results = json.loads(out)["results"]
         assert results["uniform_norms"] and results["round_trip"]
         assert results["pairwise_distinct"]
+
+    @pytest.mark.parametrize("command", ["orbit", "genericity"])
+    def test_float_named_example_matches_exact(self, tmp_path, capsys, command):
+        """Rounded phases must not hide equal members or symmetries: the
+        float copy reports what the exact function does."""
+        f, _ = non_generic_example(3, 1)
+        floated = TestFunction(3, "float", {idx: complex(c) for idx, c in f.terms.items()})
+        reports = []
+        for mode, g in (("exact", f), ("float", floated)):
+            cfg = write_config(tmp_path, name=f"{mode}.json", mode=mode,
+                               function=serialize_function(g))
+            code, out, _ = run_cli(capsys, "--config", cfg, "--command", command)
+            assert code == 0
+            reports.append(json.loads(out)["results"])
+        exact, float_ = reports
+        assert float_ == exact
+        if command == "orbit":
+            assert exact["pairwise_distinct"] is False and exact["uniform_norms"]
+        else:
+            assert exact["witness_count"] == 81 and exact["spec_violation_count"] == 0
 
     def test_orbit_indices_are_the_first_of_the_sorted_grid(
             self, tmp_path, capsys, monkeypatch):
@@ -256,11 +282,10 @@ class TestConfigValidation:
         assert serialize_function(f) == BASE_WAVELET_TERMS
 
     def test_affine_element_round_trip(self):
-        from padicframes.io import parse_affine_element, serialize_affine
-        g = parse_affine_element({"a": "-5/9", "b": "2"}, 3)
+        g = affine(Fraction(-5, 9), 2, 3)
         assert serialize_affine(g) == {"a": "-5/9", "b": "2"}
-        with pytest.raises(ConfigError):
-            parse_affine_element({"a": "0", "b": "1"}, 3)
+        with pytest.raises(ValueError, match="nonzero"):
+            affine(0, 1, 3)
 
 
 FLOAT_TERMS = [{"gamma": 0, "n": "0", "j": 1, "coeff": [1.0, 0.5]}]

@@ -3,7 +3,10 @@
 ``genericity_check`` decides the digit quotient one translation class at a
 time.  ``brute_force_genericity`` below is the direct definition: one exact
 action and one closed-form test for every cell.  The differential tests
-demand the same verdict from both, witness order included.
+demand the same verdict from both, witness order included.  Invariance in
+the reference loop is the agreement rule written out: the same labels, and
+label by label c == d or ``field.residual_is_zero(c - d, d, 1)``, which is
+equality for exact coefficients and forgives rounding for doubles.
 """
 
 import random
@@ -44,6 +47,14 @@ def quotient_cells(f: TestFunction, depth: int) -> int:
     return (p**depth - p ** (depth - 1)) * p ** (depth + _translation_window(f))
 
 
+def fixes(image: TestFunction, f: TestFunction) -> bool:
+    """Whether the image g f agrees with f, coefficient by coefficient."""
+    residual_is_zero = f.field.residual_is_zero
+    return image.terms.keys() == f.terms.keys() and all(
+        image.terms[idx] == d or residual_is_zero(image.terms[idx] - d, d, 1)
+        for idx, d in f.terms.items())
+
+
 def brute_force_genericity(f: TestFunction, depth: int, spec=None) -> GenericityVerdict:
     """Reference verdict: a runs over the units modulo p**depth, b over
     t * p**-w for every t < p**(depth + w), and every cell (a, b) gets one
@@ -60,7 +71,7 @@ def brute_force_genericity(f: TestFunction, depth: int, spec=None) -> Genericity
         for t in range(p ** (depth + window)):
             g = affine(a_int, t * b_scale, p)
             quotient += 1
-            invariant = act_on_function(g, f) == f
+            invariant = fixes(act_on_function(g, f), f)
             predicted = in_stabilizer(g, spec)
             if invariant and not predicted:
                 witnesses.append(g)
@@ -135,6 +146,28 @@ def test_named_examples_match_cell_by_cell_loop(f, generic):
     verdict = genericity_check(f, depth)
     assert verdict == brute_force_genericity(f, depth)
     assert verdict.generic_up_to_depth is generic
+
+
+def as_float(f: TestFunction) -> TestFunction:
+    """The same expansion with every coefficient rounded to a double."""
+    return TestFunction(f.prime, FLOAT, {idx: complex(c) for idx, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("p, j", [(3, 1), (3, 2), (5, 1), (5, 3)])
+def test_float_named_example_finds_the_exact_symmetries(p, j):
+    """Doubles round the phases of g f, so invariance is decided by the
+    field's agreement rule; the float copy gets the exact verdict."""
+    f = non_generic_example(p, j)[0]
+    exact, floated = genericity_check(f), genericity_check(as_float(f))
+    assert not floated.generic_up_to_depth
+    assert [(g.a, g.b) for g in floated.witnesses] \
+        == [(g.a, g.b) for g in exact.witnesses]
+    assert len(floated.witnesses) == {3: 81, 5: 1875}[p]
+    assert floated.spec_violations == exact.spec_violations == ()
+    if p == 3:
+        depth = required_genericity_depth(f)
+        assert genericity_check(as_float(f), depth) \
+            == brute_force_genericity(as_float(f), depth)
 
 
 def pair(first, second) -> TestFunction:

@@ -13,6 +13,11 @@ from orbit_strategies import (
     fraction_check_canonical,
     fraction_digit_expansion,
     fraction_digit_grid,
+    loop_mod_p,
+    loop_p_part,
+    loop_rep_mod,
+    loop_valuation,
+    rationals,
 )
 from padicframes.affine import AffineElement, affine, compose, inverse
 from padicframes.cyclotomic import CycloNumber, root_of_unity
@@ -20,6 +25,7 @@ from padicframes.errors import NonUnitError, NotPIntegralError, PrimeMismatchErr
 from padicframes.frames import OrbitIndex
 from padicframes.padic import (
     CosetRepresentative,
+    _p_part,
     PadicScalar,
     digit_grid,
     parse_rational,
@@ -462,3 +468,27 @@ def test_public_constructors_refuse_non_primes(p):
         with pytest.raises(ValueError, match="not a prime") as info:
             build()
         assert type(info.value) is ValueError
+
+
+def split_rationals(p):
+    """Zero, p**k num / den with den prime to p, and numerators up to 10**6
+    over p**0 .. p**6."""
+    return st.one_of(st.just(Fraction(0)), rationals(p), p_power_rationals(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_split_matches_the_loop_oracles(data):
+    """Valuation, canonical representative and residue through ``_p_part``
+    equal the division-loop bodies they replaced, result types included."""
+    p = data.draw(st.sampled_from(PRIMES))
+    q = data.draw(split_rationals(p))
+    k = data.draw(st.integers(min_value=-3, max_value=3))
+    assert rational_valuation(q, p) == loop_valuation(q, p)
+    rep = rep_mod(q, p, k)
+    assert rep == loop_rep_mod(q, p, k) and type(rep) is Fraction
+    assert _outcome(lambda: rational_mod_p(q, p)) == _outcome(lambda: loop_mod_p(q, p))
+    for part in (q.numerator, q.denominator):
+        if part:
+            assert _p_part(part, p) == loop_p_part(part, p)
+

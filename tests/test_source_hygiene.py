@@ -54,6 +54,30 @@ def both_field_members():
     return [field_members(tree, name) for name in ("ExactField", "FloatField")]
 
 
+def p_power_splits(tree):
+    """(line, kind) for every call of ``rational_norm`` and every ``while``
+    loop whose condition, or one operand of an ``and``/``or`` condition, is
+    ``<x> % <p> == 0``: norm values and p-power stripping belong to
+    ``padic`` alone."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "rational_norm":
+                found.append((node.lineno, "rational_norm"))
+        elif isinstance(node, ast.While):
+            test = node.test
+            for test in test.values if isinstance(test, ast.BoolOp) else [test]:
+                if isinstance(test, ast.Compare) and isinstance(test.left, ast.BinOp) \
+                        and isinstance(test.left.op, ast.Mod) \
+                        and [type(op) for op in test.ops] == [ast.Eq] \
+                        and isinstance(test.comparators[0], ast.Constant) \
+                        and test.comparators[0].value == 0:
+                    found.append((node.lineno, "while"))
+    return sorted(found)
+
+
 def test_modules_are_found():
     assert {"padic.py", "wavelets.py", "frames.py"} <= {path.name for path in MODULES}
 
@@ -87,3 +111,22 @@ def test_stale_field_read_is_flagged():
     tree = ast.parse("field = f.field\nfield.nsq(c)\nf.field.conj(c)\n")
     assert field_reads(tree) == [(2, "nsq"), (3, "conj")]
     assert all("conj" not in members for members in both_field_members())
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "padic.py"],
+                         ids=lambda path: path.name)
+def test_p_power_split_stays_in_padic(path):
+    """Outside ``padic`` norm questions are valuation comparisons, and
+    powers of p are split off by ``padic._p_part`` only."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert p_power_splits(tree) == []
+
+
+def test_p_power_split_is_flagged():
+    tree = ast.parse("while k % p == 0:\n    k //= p\n"
+                     "small = padic.rational_norm(q, p) <= 1\n"
+                     "while d and n % p == 0:\n    n //= p\n"
+                     "while n % p:\n    n += 1\n")
+    assert p_power_splits(tree) == [(1, "while"), (3, "rational_norm"), (4, "while")]
+    padic = ast.parse((SOURCE / "padic.py").read_text())
+    assert {kind for _, kind in p_power_splits(padic)} == {"while"}
