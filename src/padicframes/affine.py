@@ -13,9 +13,9 @@ two norm inequalities, each decided as a comparison of valuations.
 Genericity is certified over a finite digit quotient of group elements, one
 translation class at a time: the action and the closed form give the same
 answer on every cell of a class, and only the few classes that carry a
-minimal-scale term onto a term of the function, or that meet the
-closed-form set, can be invariant or predicted, so only those are evaluated
-(see ``genericity_check``).
+minimal-scale term onto a term of the function, or the closed-form class a
+congruence gives, can be invariant or predicted, so only those are acted on;
+witness cells are built as group elements once (see ``genericity_check``).
 """
 
 from __future__ import annotations
@@ -278,15 +278,14 @@ def stabilizer_spec(f: TestFunction) -> StabilizerSpec:
     if f.is_zero():
         raise EmptyFunctionError("empty expansion has no stabilizer data")
     p = f.prime
-    pairs = [(idx.gamma, idx.n.value) for idx in f.terms]
-    centers = [(g, ppow(p, -g) * n) for g, n in pairs]
+    centers = [(idx.gamma, idx.support_center()) for idx in f.terms]
     gamma_a = 1
     for (g1, c1), (g2, c2) in itertools.combinations(centers, 2):
         if c1 == c2:
             continue
         dist_exp = -int(rational_valuation(c1 - c2, p))
         gamma_a = max(gamma_a, 1 - max(g1, g2) + dist_exp)
-    gamma_0 = min(g for g, _ in pairs)
+    gamma_0 = min(g for g, _ in centers)
     anchors = sorted(
         {idx.n for idx in f.terms if idx.gamma == gamma_0},
         key=_anchor_sort_key)
@@ -359,33 +358,36 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
     b = t * p**-w with 0 <= t < p**(depth + w), where w is the translation
     window max(0, gamma, D - gamma) over the terms (D translation digits).
     Translations beyond the window are not enumerated, on the premise that
-    they move some support of f off every support of f.  The premise fails
-    when a support centre p**-gamma * n has norm above p**w, which a term
-    with gamma >= 1 and D >= 1 (centre norm p**(gamma + D)) can reach: a
+    they move some support of f off every support of f.  A support centre
+    p**-gamma * n of norm p**(gamma + D) above p**w breaks the premise: a
     translation outside the window can then fix f although the closed form
     rejects it, and the verdict misses that violation.  Cells are decided a
     class at a time:
 
-    (i)  Answers are constant on a class.  Each term keeps its scale gamma,
-         and its target and phase depend only on y = p**gamma * b + a * n
-         modulo p Z_p.  So cells with the same a and the same t modulo p**k,
-         k = w + 1 - gamma_min, have the same image of f.  They also get the
-         same closed-form answer, whose b-ball has radius p**(gamma_0 - 1)
-         with gamma_0 = gamma_min.  The sound depth is at least
-         1 - gamma_min, so k <= depth + w.
-    (ii) Only a few classes can be invariant.  The action permutes basis
-         labels, so g f == f sends a minimal-scale term (gamma_min, n0, j0)
-         onto a term (gamma_min, n', j0 / a mod p) of f, which pins
-         t = p**(w - gamma_min) (n' - a n0) modulo p**(w - gamma_min): p
-         classes per matching term, none when that value is not an integer.
-         The closed form holds on one class at most: a = 1 mod p**gamma_a
-         and t = p**(w - gamma_0) n_0 (1 - a) modulo p**k.
+    (i)   Answers are constant on a class.  Each term keeps its scale gamma,
+          and its target and phase depend only on y = p**gamma * b + a * n
+          modulo p Z_p.  So cells with the same a and the same t modulo
+          p**k, k = w + 1 - gamma_min, have the same image of f.  The sound
+          depth is at least 1 - gamma_min, so k <= depth + w.
+    (ii)  The closed form is one class per a = 1 mod p**gamma_a, decided by
+          congruence: its b-ball has radius p**(gamma_0 - 1) with gamma_0 =
+          gamma_min, so the class is t = p**(w - gamma_0) n_0 (1 - a) modulo
+          p**k, and there is none when that value is not an integer.
+    (iii) Only a few classes can be invariant.  The action permutes basis
+          labels, so g f == f sends a minimal-scale term (gamma_min, n0, j0)
+          onto a term (gamma_min, n', j0 / a mod p) of f, which pins
+          t = p**(w - gamma_min) (n' - a n0) modulo p**(w - gamma_min): p
+          classes per matching term, none when that value is not an integer.
 
-    One representative of each of these classes is evaluated exactly, by the
-    action (``TestFunction.agrees``) and by the closed form; every other
-    class is neither invariant nor predicted.  Witness and violation classes are expanded back to their
-    cells in ascending t within each a, so the verdict, witness order
-    included, is the one a cell-by-cell comparison gives.
+    Such a value is no integer only when a minimal-scale centre norm
+    p**(gamma_0 + D) exceeds p**w, as for (gamma, n) = (1, 1/2) at p = 2
+    (w = 1, w - gamma_0 = 0 < D); a window of gamma + D removes both guards.
+    The action is evaluated on one cell of each class above.  A unit has at
+    most one invariant class: two differ by a translation of norm at least
+    p**gamma_0 that fixes f, so f is constant on balls of radius p**gamma_0
+    and orthogonal to its minimal-scale terms.  With at most one predicted
+    class, the witness and violation cells (a, t), listed unit by unit, come
+    in the order of a cell-by-cell loop: ascending a, then ascending t.
     """
     if f.is_zero():
         raise EmptyFunctionError("genericity needs a nonzero function")
@@ -404,9 +406,9 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
     step = period // p  # a pinned target fixes t modulo step
     landings = [(idx.j, idx.n.value) for idx in f.terms if idx.gamma == spec.gamma_0]
     j0, n0 = landings[0]
-    anchor = spec.n_0.value
-    witnesses: list[AffineElement] = []
-    violations: list[AffineElement] = []
+    anchor = step * spec.n_0.value
+    witnesses: list[tuple[int, int]] = []
+    violations: list[tuple[int, int]] = []
     for a_int in range(1, p**depth):
         if a_int % p == 0:
             continue
@@ -418,30 +420,29 @@ def genericity_check(f: TestFunction, depth: Optional[int] = None) -> Genericity
             t = step * (n - a_int * n0)
             if t.denominator == 1:
                 classes.update(range(int(t) % step, period, step))
+        spec_class = None
         if (a_int - 1) % p**spec.gamma_a == 0:
-            t = step * anchor * (1 - a_int)
+            t = anchor * (1 - a_int)
             if t.denominator == 1:
-                classes.add(int(t) % period)
+                spec_class = int(t) % period
+                classes.add(spec_class)
 
-        a = Fraction(a_int)
-        fixed: list[int] = []
-        broken: list[int] = []
+        a = PadicScalar(Fraction(a_int), p)
         for c in classes:
-            g = AffineElement(PadicScalar(a, p), PadicScalar(c * b_scale, p))
+            g = AffineElement(a, PadicScalar(c * b_scale, p))
             invariant = act_on_function(g, f).agrees(f)
-            predicted = in_stabilizer(g, spec)
-            if invariant and not predicted:
-                fixed.extend(range(c, b_count, period))
-            elif predicted and not invariant:
-                broken.extend(range(c, b_count, period))
-        for ts, out in ((fixed, witnesses), (broken, violations)):
-            out.extend(
-                AffineElement(PadicScalar(a, p), PadicScalar(t * b_scale, p))
-                for t in sorted(ts))
+            if invariant != (c == spec_class):
+                cells = witnesses if invariant else violations
+                cells.extend((a_int, t) for t in range(c, b_count, period))
+
+    def elements(cells: list[tuple[int, int]]) -> tuple[AffineElement, ...]:
+        return tuple(AffineElement(PadicScalar(Fraction(a), p), PadicScalar(t * b_scale, p))
+                     for a, t in cells)
+
     units = p**depth - p ** (depth - 1)
     return GenericityVerdict(
         generic_up_to_depth=not witnesses and not violations,
-        witnesses=tuple(witnesses),
+        witnesses=elements(witnesses),
         depth=depth,
         quotient_size=units * b_count,
-        spec_violations=tuple(violations))
+        spec_violations=elements(violations))

@@ -9,10 +9,6 @@ class NotPIntegralError(PadicError):
     """Denominator is not a power of the prime."""
 
 
-class NonUnitError(PadicError):
-    """Operand is required to have p-adic norm 1 (or be nonzero)."""
-
-
 class PrimeMismatchError(PadicError):
     """Operands belong to different primes."""
 

@@ -38,6 +38,7 @@ and the stabilizer spec share one prime and f and g one coefficient mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -58,6 +59,7 @@ from .errors import (
 )
 from .padic import (
     CosetRepresentative,
+    _p_part,
     digit_grid,
     ppow,
     rational_valuation,
@@ -310,9 +312,10 @@ def _collision_leaves(p: int, k: int, profiles: Sequence[int],
     # pair i pins n to bases[i] p**(profiles[i] - k) below its profile; walk
     # from the lowest position where a pair pins a nonzero digit, or low
     pins = [b * p ** (prof - k - lo) for prof, b in zip(profiles, bases)]
-    while lo < low and all(pin % p == 0 for pin in pins):
-        pins = [pin // p for pin in pins]
-        lo += 1
+    common = math.gcd(*pins)
+    shift = min(low - lo, _p_part(common, p)[0]) if common else low - lo
+    pins = [pin // p**shift for pin in pins]
+    lo += shift
     leaves = []
 
     def walk(pos: int, alive: tuple, n: int, unit: int, mult: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .errors import NonUnitError, NotPIntegralError
+from .errors import NotPIntegralError
 
 Valuation = Union[int, float]  # float only for math.inf at zero
 
@@ -105,14 +105,6 @@ def rep_mod(q: Fraction, p: int, k: int) -> Fraction:
     e, d = _p_part(q.denominator, p)
     modulus = p ** max(k + e, 0)
     return Fraction(q.numerator * pow(d, -1, modulus) % modulus, p**e)
-
-
-def rational_mod_p(q: Fraction, p: int) -> int:
-    """Residue of a p-adic integer in Z_p / p Z_p."""
-    residue = rep_mod(q, p, 1)
-    if residue.denominator != 1:
-        raise NonUnitError("not a p-adic integer")
-    return residue.numerator
 
 
 def digit_expansion(numerator: int, den_exponent: int, p: int) -> dict[int, int]:

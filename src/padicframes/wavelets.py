@@ -426,14 +426,3 @@ def inner_product_oracle(f: SampledFunction, g: SampledFunction) -> complex:
         total += (w * v.conjugate()) if conj_small else (v * w.conjugate())
     measure = float(ppow(f.prime, -f.resolution))
     return total * measure
-
-
-def parseval_defect(f: TestFunction):
-    """norm_sq(f) minus the sum of |<f, psi_idx>|^2 over the basis; zero on
-    finite expansions by orthonormality.  Kept as an explicit check."""
-    total = norm_sq(f)
-    for idx in f.terms:
-        probe = TestFunction.single(idx, f.mode)
-        ip = inner_product_symbolic(f, probe)
-        total = total - f.field.nsq(ip)
-    return total

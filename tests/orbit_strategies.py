@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from padicframes.affine import PhasedWavelet, StabilizerSpec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.frames import OrbitIndex, group_element
-from padicframes.errors import NonUnitError, NotPIntegralError
+from padicframes.errors import NotPIntegralError, PadicError
 from padicframes.padic import CosetRepresentative, ppow
 from padicframes.wavelets import (
     EXACT,
@@ -137,6 +137,10 @@ def loop_rep_mod(q, p, k):
     modulus = p ** (k - v)
     digits_value = (m * pow(d, -1, modulus)) % modulus
     return digits_value * ppow(p, v)
+
+
+class NonUnitError(PadicError):
+    """The residue oracles were handed a rational that is no p-adic integer."""
 
 
 def loop_mod_p(q, p):

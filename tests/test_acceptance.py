@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from orbit_strategies import loop_mod_p
 from padicframes.affine import (
     StabilizerSpec,
     act_on_function,
@@ -31,7 +32,6 @@ from padicframes.mra import scaling_shift_gram, wavelet_space_gram
 from padicframes.padic import (
     CosetRepresentative,
     ppow,
-    rational_mod_p,
     rational_norm,
     rational_valuation,
     rep_mod,
@@ -185,10 +185,10 @@ def _index_formulas(a: Fraction, b: Fraction, idx, p: int):
     """Closed-form index map, restated from scratch for cross-validation."""
     s = int(rational_valuation(a, p))
     u = a * ppow(p, -s)
-    j_prime = (idx.j * pow(rational_mod_p(u, p), -1, p)) % p
+    j_prime = (idx.j * pow(loop_mod_p(u, p), -1, p)) % p
     y = ppow(p, idx.gamma - s) * b + u * idx.n.value
     n_prime = rep_mod(y, p, 0)
-    m = rational_mod_p(Fraction(j_prime) * (n_prime - y), p)
+    m = loop_mod_p(Fraction(j_prime) * (n_prime - y), p)
     return idx.gamma - s, n_prime, j_prime, m
 
 

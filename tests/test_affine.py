@@ -12,6 +12,7 @@ from orbit_strategies import (
     assert_same_members,
     expansions,
     grid_translations,
+    loop_mod_p,
     norm_ball_stabilizer_membership,
     norm_in_stabilizer,
     rationals,
@@ -42,7 +43,6 @@ from padicframes.errors import DepthTooSmallError, InvariantError
 from padicframes.padic import (
     CosetRepresentative,
     ppow,
-    rational_mod_p,
     rational_norm,
     rational_valuation,
     rep_mod,
@@ -78,11 +78,11 @@ def index_formula_oracle(a: Fraction, b: Fraction, idx, p: int):
     """
     s = int(rational_valuation(a, p))
     u = a * ppow(p, -s)
-    j_prime = (idx.j * pow(rational_mod_p(u, p), -1, p)) % p
+    j_prime = (idx.j * pow(loop_mod_p(u, p), -1, p)) % p
     gamma_prime = idx.gamma - s
     y = ppow(p, idx.gamma - s) * b + u * idx.n.value
     n_prime = rep_mod(y, p, 0)
-    m = rational_mod_p(Fraction(j_prime) * (n_prime - y), p)
+    m = loop_mod_p(Fraction(j_prime) * (n_prime - y), p)
     return gamma_prime, n_prime, j_prime, m
 
 

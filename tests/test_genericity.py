@@ -1,12 +1,15 @@
-"""Genericity certificates against the cell-by-cell reference loop.
+"""Genericity certificates against two reference loops.
 
 ``genericity_check`` decides the digit quotient one translation class at a
-time.  ``brute_force_genericity`` below is the direct definition: one exact
-action and one closed-form test for every cell.  The differential tests
-demand the same verdict from both, witness order included.  Invariance in
-the reference loop is the agreement rule written out: the same labels, and
-label by label c == d or ``field.residual_is_zero(c - d, d, 1)``, which is
-equality for exact coefficients and forgives rounding for doubles.
+time, the closed form by one congruence per unit.  ``brute_force_genericity``
+below is the direct definition: one exact action and one closed-form test
+for every cell.  ``class_loop_genericity`` walks the same classes as the
+library but decides the closed form with ``in_stabilizer`` on a group element
+built for each class.  The differential tests demand the same verdict from
+all three, witness order included.  Invariance in the cell-by-cell loop is
+the agreement rule written out: the same labels, and label by label c == d
+or ``field.residual_is_zero(c - d, d, 1)``, which is equality for exact
+coefficients and forgives rounding for doubles.
 """
 
 import random
@@ -17,6 +20,7 @@ import pytest
 
 import padicframes.affine as affine_module
 from padicframes.affine import (
+    AffineElement,
     GenericityVerdict,
     _translation_window,
     act_on_function,
@@ -28,7 +32,7 @@ from padicframes.affine import (
     stabilizer_spec,
 )
 from padicframes.cyclotomic import CycloNumber
-from padicframes.padic import CosetRepresentative, ppow, rep_mod
+from padicframes.padic import CosetRepresentative, PadicScalar, ppow, rep_mod
 from padicframes.sampling import (
     non_generic_example,
     perturbed_generic_example,
@@ -85,6 +89,62 @@ def brute_force_genericity(f: TestFunction, depth: int, spec=None) -> Genericity
         spec_violations=tuple(violations))
 
 
+def class_loop_genericity(f: TestFunction, depth: int, spec=None) -> GenericityVerdict:
+    """Reference verdict on the translation classes of ``genericity_check``:
+    for each unit a, the classes that carry a minimal-scale term onto a term
+    of f and the closed-form class, each decided by the action and by
+    ``in_stabilizer`` on one group element built for it; the witnesses and
+    violations of a unit are built before the next unit is visited."""
+    spec = spec or stabilizer_spec(f)
+    p = f.prime
+    window = _translation_window(f)
+    b_count = p ** (depth + window)
+    b_scale = ppow(p, -window)
+    period = p ** (window + 1 - spec.gamma_0)
+    step = period // p
+    landings = [(idx.j, idx.n.value) for idx in f.terms if idx.gamma == spec.gamma_0]
+    j0, n0 = landings[0]
+    anchor = spec.n_0.value
+    witnesses, violations = [], []
+    for a_int in range(1, p**depth):
+        if a_int % p == 0:
+            continue
+        classes = set()
+        j_target = j0 * pow(a_int, -1, p) % p
+        for j, n in landings:
+            if j != j_target:
+                continue
+            t = step * (n - a_int * n0)
+            if t.denominator == 1:
+                classes.update(range(int(t) % step, period, step))
+        if (a_int - 1) % p**spec.gamma_a == 0:
+            t = step * anchor * (1 - a_int)
+            if t.denominator == 1:
+                classes.add(int(t) % period)
+
+        a = Fraction(a_int)
+        fixed, broken = [], []
+        for c in classes:
+            g = AffineElement(PadicScalar(a, p), PadicScalar(c * b_scale, p))
+            invariant = act_on_function(g, f).agrees(f)
+            predicted = in_stabilizer(g, spec)
+            if invariant and not predicted:
+                fixed.extend(range(c, b_count, period))
+            elif predicted and not invariant:
+                broken.extend(range(c, b_count, period))
+        for ts, out in ((fixed, witnesses), (broken, violations)):
+            out.extend(
+                AffineElement(PadicScalar(a, p), PadicScalar(t * b_scale, p))
+                for t in sorted(ts))
+    units = p**depth - p ** (depth - 1)
+    return GenericityVerdict(
+        generic_up_to_depth=not witnesses and not violations,
+        witnesses=tuple(witnesses),
+        depth=depth,
+        quotient_size=units * b_count,
+        spec_violations=tuple(violations))
+
+
 def unit_coefficients(f: TestFunction) -> TestFunction:
     """Same labels, every coefficient 1: equal coefficients let the action
     swap terms, so extra symmetries (witnesses) turn up often."""
@@ -124,7 +184,9 @@ def differential_instances(p: int, kind: str):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_matches_cell_by_cell_loop(p, kind):
     for f, depth in differential_instances(p, kind):
-        assert genericity_check(f, depth) == brute_force_genericity(f, depth)
+        verdict = genericity_check(f, depth)
+        assert verdict == brute_force_genericity(f, depth)
+        assert verdict == class_loop_genericity(f, depth)
 
 
 def test_differential_draws_reach_witnesses():
@@ -148,6 +210,18 @@ def test_named_examples_match_cell_by_cell_loop(f, generic):
     assert verdict.generic_up_to_depth is generic
 
 
+@pytest.mark.parametrize("p, lifts", [(3, 2), (5, 1)])
+@pytest.mark.parametrize("example", [
+    lambda p: non_generic_example(p, 1)[0],
+    lambda p: perturbed_generic_example(p, 1),
+], ids=["non-generic", "perturbed"])
+def test_named_examples_match_class_loop(p, lifts, example):
+    f = example(p)
+    required = required_genericity_depth(f)
+    for depth in range(required, required + lifts + 1):
+        assert genericity_check(f, depth) == class_loop_genericity(f, depth)
+
+
 def as_float(f: TestFunction) -> TestFunction:
     """The same expansion with every coefficient rounded to a double."""
     return TestFunction(f.prime, FLOAT, {idx: complex(c) for idx, c in f.terms.items()})
@@ -164,6 +238,7 @@ def test_float_named_example_finds_the_exact_symmetries(p, j):
         == [(g.a, g.b) for g in exact.witnesses]
     assert len(floated.witnesses) == {3: 81, 5: 1875}[p]
     assert floated.spec_violations == exact.spec_violations == ()
+    assert floated == class_loop_genericity(as_float(f), floated.depth)
     if p == 3:
         depth = required_genericity_depth(f)
         assert genericity_check(as_float(f), depth) \
@@ -200,6 +275,7 @@ def test_spec_violations_match_cell_by_cell_loop(monkeypatch):
         verdict = genericity_check(f, depth)
         assert verdict.spec_violations
         assert verdict == brute_force_genericity(f, depth, shifted_anchor_spec(f))
+        assert verdict == class_loop_genericity(f, depth, shifted_anchor_spec(f))
 
 
 def test_p5_non_generic_example_at_default_depth():

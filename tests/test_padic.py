@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbit_strategies import (
+    NonUnitError,
     fraction_check_canonical,
     fraction_digit_expansion,
     fraction_digit_grid,
@@ -21,7 +22,7 @@ from orbit_strategies import (
 )
 from padicframes.affine import AffineElement, affine, compose, inverse
 from padicframes.cyclotomic import CycloNumber, root_of_unity
-from padicframes.errors import NonUnitError, NotPIntegralError, PrimeMismatchError
+from padicframes.errors import NotPIntegralError, PrimeMismatchError
 from padicframes.frames import OrbitIndex
 from padicframes.padic import (
     CosetRepresentative,
@@ -30,7 +31,6 @@ from padicframes.padic import (
     digit_grid,
     parse_rational,
     ppow,
-    rational_mod_p,
     rational_norm,
     rational_valuation,
     rep_mod,
@@ -169,6 +169,15 @@ class TestCosetRepresentative:
     def test_canonical_validation(self):
         with pytest.raises(ValueError):
             CosetRepresentative(3, Fraction(4, 3), 0)  # 4/3 = 1/3 + 1, not reduced
+
+
+def rational_mod_p(q: Fraction, p: int) -> int:
+    """Residue of a p-adic integer in Z_p / p Z_p, read off
+    ``rep_mod(q, p, 1)``: a second route to the residue of ``loop_mod_p``."""
+    residue = rep_mod(q, p, 1)
+    if residue.denominator != 1:
+        raise NonUnitError("not a p-adic integer")
+    return residue.numerator
 
 
 class TestResidues:

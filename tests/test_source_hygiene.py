@@ -54,11 +54,20 @@ def both_field_members():
     return [field_members(tree, name) for name in ("ExactField", "FloatField")]
 
 
+def is_divisibility(test):
+    """Whether ``test`` is ``<x> % <p> == 0``."""
+    return isinstance(test, ast.Compare) and isinstance(test.left, ast.BinOp) \
+        and isinstance(test.left.op, ast.Mod) \
+        and [type(op) for op in test.ops] == [ast.Eq] \
+        and isinstance(test.comparators[0], ast.Constant) \
+        and test.comparators[0].value == 0
+
+
 def p_power_splits(tree):
     """(line, kind) for every call of ``rational_norm`` and every ``while``
     loop whose condition, or one operand of an ``and``/``or`` condition, is
-    ``<x> % <p> == 0``: norm values and p-power stripping belong to
-    ``padic`` alone."""
+    ``<x> % <p> == 0`` or ``all(<x> % <p> == 0 for ...)``: norm values and
+    p-power stripping belong to ``padic`` alone."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -69,11 +78,10 @@ def p_power_splits(tree):
         elif isinstance(node, ast.While):
             test = node.test
             for test in test.values if isinstance(test, ast.BoolOp) else [test]:
-                if isinstance(test, ast.Compare) and isinstance(test.left, ast.BinOp) \
-                        and isinstance(test.left.op, ast.Mod) \
-                        and [type(op) for op in test.ops] == [ast.Eq] \
-                        and isinstance(test.comparators[0], ast.Constant) \
-                        and test.comparators[0].value == 0:
+                if isinstance(test, ast.Call) and getattr(test.func, "id", None) == "all" \
+                        and len(test.args) == 1 and isinstance(test.args[0], ast.GeneratorExp):
+                    test = test.args[0].elt
+                if is_divisibility(test):
                     found.append((node.lineno, "while"))
     return sorted(found)
 
@@ -126,7 +134,11 @@ def test_p_power_split_is_flagged():
     tree = ast.parse("while k % p == 0:\n    k //= p\n"
                      "small = padic.rational_norm(q, p) <= 1\n"
                      "while d and n % p == 0:\n    n //= p\n"
-                     "while n % p:\n    n += 1\n")
-    assert p_power_splits(tree) == [(1, "while"), (3, "rational_norm"), (4, "while")]
+                     "while n % p:\n    n += 1\n"
+                     "while lo < low and all(pin % p == 0 for pin in pins):\n"
+                     "    pins = [pin // p for pin in pins]\n"
+                     "while all(pin % p for pin in pins):\n    pins.pop()\n")
+    assert p_power_splits(tree) == [(1, "while"), (3, "rational_norm"), (4, "while"),
+                                    (8, "while")]
     padic = ast.parse((SOURCE / "padic.py").read_text())
     assert {kind for _, kind in p_power_splits(padic)} == {"while"}

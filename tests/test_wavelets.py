@@ -30,7 +30,6 @@ from padicframes.wavelets import (
     inner_product_oracle,
     inner_product_symbolic,
     norm_sq,
-    parseval_defect,
     required_support,
     sample,
     wavelet_eval,
@@ -275,6 +274,17 @@ class TestOrthonormalityGrid:
                     assert ip == CycloNumber.one(p)
                 else:
                     assert ip.is_zero()
+
+
+def parseval_defect(f: TestFunction):
+    """norm_sq(f) minus the sum of |<f, psi_idx>|^2 over the basis; zero on
+    finite expansions by orthonormality."""
+    total = norm_sq(f)
+    for idx in f.terms:
+        probe = TestFunction.single(idx, f.mode)
+        ip = inner_product_symbolic(f, probe)
+        total = total - f.field.nsq(ip)
+    return total
 
 
 def test_parseval_on_finite_expansions():
