@@ -10,14 +10,16 @@ carries the generator set at gamma bijectively onto the one at gamma + 1.
 
 Both exact kernels enumerate only nonzero work: the basis is orthonormal,
 so cross-Grams are accumulated over shared wavelet indices only, and span
-membership eliminates on sparse rows.  The generators themselves come from
-``frames.orbit_members``, one call per dilation J along the translation
-grid.  Both checks use the covariance of the orbit under the group: a Gram
-block is decided by the n = 0 members of the larger exponent, and the
-scaling relation carries the coefficients found at gamma over to the
-generators at gamma + 1.  Those generators are still built by the group
-action, not by dilating the span at gamma, and the carried combination is
-compared exactly with the dilated member, so the check is not circular.
+membership reduces sparse generator columns one at a time, keeping a greedy
+column basis and stopping once it has full row rank.  The generators
+themselves come from ``frames.orbit_members``, one call per dilation J along
+the translation grid.  Both checks use the covariance of the orbit under
+the group: a Gram block is decided by the n = 0 members of the larger
+exponent, and the scaling relation carries the coefficients found at gamma
+over to the generators at gamma + 1, building only those with a nonzero
+coefficient.  Those generators are still built by the group action, not by
+dilating the span at gamma, and the carried combination is compared exactly
+with the dilated member, so the check is not circular.
 
 Gram, span and scaling checks decide on exact coefficients only: a float
 function is refused with ``ModeMismatchError`` before any generator is built.
@@ -37,7 +39,7 @@ from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
 from .errors import ModeMismatchError, SpanError
 from .frames import dilation_indices, orbit_members
-from .padic import CosetRepresentative, digit_grid, rational_valuation
+from .padic import CosetRepresentative, digit_grid, rep_mod
 from .wavelets import EXACT, Coeff, TestFunction, WaveletIndex
 
 
@@ -46,27 +48,28 @@ def scaling_shift_gram(p: int, shifts: Sequence) -> list[list[Fraction]]:
     measure: entries are 1 when the shifted balls coincide, 0 otherwise.
 
     Shifts may be canonical representatives or plain rationals; two shifts
-    congruent modulo Z_p address the same ball and give a unit entry.
+    congruent modulo Z_p address the same ball and give a unit entry.  Each
+    shift is reduced once to its canonical residue modulo Z_p, and two balls
+    coincide exactly when their residues are equal.
     """
-    values = [s.value if isinstance(s, CosetRepresentative) else Fraction(s)
-              for s in shifts]
-    out = []
-    for ni in values:
-        row = []
-        for nj in values:
-            same_ball = rational_valuation(ni - nj, p) >= 0
-            row.append(Fraction(1) if same_ball else Fraction(0))
-        out.append(row)
-    return out
+    residues = [rep_mod(s.value if isinstance(s, CosetRepresentative) else Fraction(s),
+                        p, 0)
+                for s in shifts]
+    return [[Fraction(1) if ri == rj else Fraction(0) for rj in residues]
+            for ri in residues]
 
 
 @dataclass(frozen=True)
 class SpanProbe:
-    """Generators of the span of orbit members at one dilation exponent."""
+    """Generators of the span of orbit members at one dilation exponent, and
+    the translation grid they run over: generator k has J =
+    ``dilation_indices(spec)[k // T]`` and n = ``translations[k % T]``, with
+    T the grid size."""
 
     gamma: int
     truncation: int
     generators: tuple[TestFunction, ...]
+    translations: tuple[CosetRepresentative, ...]
 
 
 def _translations(p: int, spec: StabilizerSpec,
@@ -93,8 +96,9 @@ def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
     order.  The translation grid is built once and each J takes one
     ``orbit_members`` call, so the members of one J share their target
     wavelet indices and phased coefficients."""
-    translations = list(_translations(f.prime, spec, truncation))
-    return SpanProbe(gamma, truncation, tuple(_members(f, spec, gamma, translations)))
+    translations = tuple(_translations(f.prime, spec, truncation))
+    return SpanProbe(gamma, truncation, tuple(_members(f, spec, gamma, translations)),
+                     translations)
 
 
 def _require_exact(*functions: TestFunction) -> None:
@@ -179,57 +183,83 @@ def solve_in_span(generators: Sequence[TestFunction],
                   target: TestFunction) -> Optional[list[CycloNumber]]:
     """Exact coefficients expressing target in the generators' span, or None.
 
-    Gaussian elimination over the cyclotomic field on the wavelet-coefficient
-    matrix, with sparse rows ``{column: coefficient}`` that hold only nonzero
-    entries; an update touches only the pivot row's columns and drops what it
-    cancels.  The candidate solution is verified by exact recombination, so
-    a non-None answer is a certificate.
+    One left-looking pass over the generators in order, on sparse columns
+    ``{wavelet index: coefficient}``.  Each column is reduced against the
+    vectors kept so far, in the order they were kept: a kept vector's pivot
+    entry is cleared by subtracting that multiple of it.  A kept vector is
+    zero at every earlier pivot, so one pass clears them all.  If something
+    is left, the column is independent of the columns before it: it is
+    kept, scaled so its pivot entry is one, together with the multipliers
+    that reduced it.  The kept columns are the greedy column basis.  Once
+    their number equals the number of distinct wavelet indices the
+    generators touch, they span every column, and the pass stops.
+
+    The target is reduced the same way; a remainder means None.  Otherwise
+    its multipliers express it in the kept vectors, and one back
+    substitution through each kept vector's multipliers turns them into
+    coefficients of the kept generators.  Every other generator gets 0.
+
+    This is the list that Gauss-Jordan elimination over the columns in
+    order returns: there column k is a pivot exactly when it is independent
+    of the columns before it, which is the test above, and free columns get
+    0 in both.  Coefficients on an independent set are unique, so the two
+    lists are equal element for element.  The answer is still verified by
+    exact recombination, so a non-None answer is a certificate.
     """
     _require_exact(target, *generators)
     zero = target.field.zero(target.prime)
-    by_index: dict[WaveletIndex, dict[int, CycloNumber]] = {
-        idx: {} for idx in target.terms}
+    rows = len({idx for g in generators for idx in g.terms})
+    # (pivot index, other entries, column, pivot entry**-1, multipliers)
+    kept: list[tuple] = []
     for col, g in enumerate(generators):
-        for idx, c in g.terms.items():
-            by_index.setdefault(idx, {})[col] = c
-    indices = sorted(by_index, key=lambda idx: idx.sort_key)
-    rows = [by_index[idx] for idx in indices]
-    rhs = [target.terms.get(idx, zero) for idx in indices]
+        if len(kept) == rows:
+            break
+        residue, multipliers = _reduce(kept, g.terms)
+        if residue:
+            pivot, entry = next(iter(residue.items()))
+            inv = entry.inverse()
+            rest = [(idx, c * inv) for idx, c in residue.items() if idx != pivot]
+            kept.append((pivot, rest, col, inv, multipliers))
+    residue, multipliers = _reduce(kept, target.terms)
+    if residue:
+        return None
 
-    ncols = len(generators)
-    pivot_of_col: dict[int, int] = {}
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(rows)) if col in rows[r]), None)
-        if pivot is None:
+    solution = [zero] * len(generators)
+    weights = dict(multipliers)
+    for i in reversed(range(len(kept))):
+        weight = weights.pop(i, None)
+        if weight is None:
             continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
-        inv = rows[row][col].inverse()
-        rows[row] = {c: entry * inv for c, entry in rows[row].items()}
-        rhs[row] = rhs[row] * inv
-        # the pivot entry is now one, so it cancels exactly in every update
-        rest = [(c, b) for c, b in rows[row].items() if c != col]
-        for r, entries in enumerate(rows):
-            if r == row or col not in entries:
-                continue
-            factor = entries.pop(col)
-            for c, b in rest:
-                delta = factor * b
-                new = entries[c] - delta if c in entries else -delta
-                if new.is_zero():
-                    del entries[c]
-                else:
-                    entries[c] = new
-            rhs[r] = rhs[r] - factor * rhs[row]
-        pivot_of_col[col] = row
-        row += 1
-
-    solution = [zero] * ncols
-    for col, r in pivot_of_col.items():
-        solution[col] = rhs[r]
-
+        _, _, col, inv, reducers = kept[i]
+        solution[col] = coeff = weight * inv
+        for j, m in reducers:
+            term = coeff * m
+            weights[j] = weights[j] - term if j in weights else -term
     return solution if _expresses(generators, solution, target) else None
+
+
+def _reduce(kept: Sequence[tuple], terms: dict[WaveletIndex, CycloNumber]
+            ) -> tuple[dict[WaveletIndex, CycloNumber], list[tuple[int, CycloNumber]]]:
+    """What is left of terms once each kept pivot is cleared in turn, and
+    the (kept position, multiplier) pairs that cleared them."""
+    residue = dict(terms)
+    multipliers = []
+    for i, (pivot, rest, *_) in enumerate(kept):
+        m = residue.pop(pivot, None)
+        if m is None:
+            continue
+        multipliers.append((i, m))
+        for idx, b in rest:
+            term = m * b
+            if idx not in residue:
+                residue[idx] = -term
+            else:
+                new = residue[idx] - term
+                if new:
+                    residue[idx] = new
+                else:
+                    del residue[idx]
+    return residue, multipliers
 
 
 def _expresses(generators: Sequence[TestFunction],
@@ -256,13 +286,16 @@ def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,
 
     The group law gives (p, 0) (p**gamma J, p**gamma J n) =
     (p**(gamma+1) J, p**(gamma+1) J n), so the dilation carries the
-    generator (gamma, J, n) exactly onto (gamma + 1, J, n), and
-    ``span_probe`` lists both sets in the same (J, n) order.  The
+    generator (gamma, J, n) exactly onto (gamma + 1, J, n).  The
     coefficients that express member at gamma therefore express the dilated
-    member at gamma + 1.  The generators at gamma + 1 are built by the group
-    action on their own; if the carried combination equals the dilated member
-    exactly, that is a certificate.  Otherwise the dilated member is solved
-    for afresh, so the verdict is the one a second elimination gives.
+    member at gamma + 1.  Only the generators at gamma + 1 whose carried
+    coefficient is nonzero are built, each by the group action on its own:
+    generator k of the probe at gamma has J = ``dilation_indices(spec)[k //
+    T]`` and n = ``translations[k % T]``, and each J takes one
+    ``orbit_members`` call.  If the carried combination equals the dilated
+    member exactly, that is a certificate.  Otherwise the full span at
+    gamma + 1 is built and the dilated member is solved for afresh, so the
+    verdict is the one a second elimination gives.
     """
     _require_exact(f, member)
     source = span_probe(f, spec, gamma, truncation)
@@ -270,6 +303,15 @@ def scaling_relation_check(f: TestFunction, spec: StabilizerSpec,
     if coefficients is None:
         raise SpanError("function is not in the span at the stated exponent")
     dilated = act_on_function(affine(f.prime, 0, f.prime), member)
+    grid, T = source.translations, len(source.translations)
+    carried: list[TestFunction] = []
+    weights: list[CycloNumber] = []
+    for block, J in enumerate(dilation_indices(spec)):
+        picked = [(n, c) for n, c in zip(grid, coefficients[block * T:(block + 1) * T]) if c]
+        if picked:
+            carried += orbit_members(f, spec, gamma + 1, J, [n for n, _ in picked])
+            weights += [c for _, c in picked]
+    if _expresses(carried, weights, dilated):
+        return True
     target = span_probe(f, spec, gamma + 1, truncation).generators
-    return (_expresses(target, coefficients, dilated)
-            or solve_in_span(target, dilated) is not None)
+    return solve_in_span(target, dilated) is not None

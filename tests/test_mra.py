@@ -29,7 +29,7 @@ from padicframes.mra import (
     span_probe,
     wavelet_space_gram,
 )
-from padicframes.padic import CosetRepresentative, ppow
+from padicframes.padic import CosetRepresentative, ppow, rational_valuation
 from padicframes.sampling import (
     random_cyclo,
     random_generic_function,
@@ -71,6 +71,33 @@ class TestScalingShiftGram:
         for i in range(27):
             for k in range(27):
                 assert gram[i][k] == (1 if i == k else 0)
+
+
+def pairwise_shift_gram(p, shifts):
+    """The shift Gram by one Fraction difference and valuation per pair."""
+    values = [s.value if isinstance(s, CosetRepresentative) else Fraction(s)
+              for s in shifts]
+    return [[Fraction(1) if rational_valuation(ni - nj, p) >= 0 else Fraction(0)
+             for nj in values] for ni in values]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shift_gram_equals_pairwise_valuation_oracle(p):
+    """Canonical representatives mixed with plain rationals (and ints)
+    congruent to them modulo Z_p, or to nothing else in the list."""
+    canonical = [CosetRepresentative(p, Fraction(num, p**2), 0)
+                 for num in range(0, p**2, max(1, p - 1))]
+    congruent = [rep.value + shift for rep, shift in
+                 zip(canonical, (1, -p, p**3, Fraction(p, 7), -Fraction(2 * p, 3 * p + 1)))]
+    others = [Fraction(1, p**3), -Fraction(1, p**3), Fraction(p - 1, p**3) + 5, 7, -2,
+              Fraction(3, 11 * p)]
+    shifts = canonical + congruent + others
+    gram = scaling_shift_gram(p, shifts)
+    assert gram == pairwise_shift_gram(p, shifts)
+    assert all(type(entry) is Fraction for row in gram for entry in row)
+    # every congruent shift shares its canonical representative's ball
+    for k in range(len(congruent)):
+        assert gram[k][len(canonical) + k] == 1
 
 
 class TestWaveletSpaceGram:
@@ -130,6 +157,33 @@ class TestSolveInSpan:
         probe = span_probe(f, spec, 0, 1)
         outsider = TestFunction.single(wavelet_index(-2, Fraction(1, 9), 2, 3))
         assert solve_in_span(probe.generators, outsider) is None
+
+
+class Untouchable(CycloNumber):
+    """A coefficient that raises on any arithmetic."""
+
+    def _refuse(self, *args):
+        raise AssertionError("arithmetic on an untouchable coefficient")
+
+    __add__ = __sub__ = __mul__ = __neg__ = __truediv__ = _refuse
+    _addsub = inverse = scale = _refuse
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_stops_at_full_row_rank(p):
+    """Once the kept columns reach the row count, later columns are not
+    touched: an untouchable column appended to a full-rank list still
+    solves, and the same column placed first raises."""
+    a, b = wavelet_index(0, 0, 1, p), wavelet_index(1, Fraction(1, p), 1, p)
+    one, c = CycloNumber.one(p), CycloNumber.from_rational(3, p) + root_of_unity(1, p)
+    gens = [TestFunction(p, EXACT, {a: one, b: c}), TestFunction.single(b)]
+    poison = TestFunction(p, EXACT, {a: Untouchable(p, (2,) + (0,) * (p - 2), _den=1)})
+    target = TestFunction.single(a).scaled(c) + TestFunction.single(b)
+    expected = solve_in_span(gens, target)
+    assert expected is not None
+    assert solve_in_span(gens + [poison], target) == expected + [CycloNumber.zero(p)]
+    with pytest.raises(AssertionError, match="untouchable"):
+        solve_in_span([poison] + gens, target)
 
 
 class TestScalingRelation:
@@ -359,6 +413,25 @@ def _members(rng, gens, p):
     return out
 
 
+def rank_below_rows(f, gens):
+    """Rank below the row count: the first generator of a multi-term span
+    and the first one after it that touches a new wavelet index, with a
+    wavelet the first one touches as the target; empty when f has one term
+    or no such generator exists."""
+    wider = [g for g in gens[1:] if set(g.terms) - set(gens[0].terms)]
+    if len(f.terms) < 2 or not wider:
+        return []
+    return [([gens[0], wider[0]], TestFunction.single(next(iter(gens[0].terms))))]
+
+
+def test_solve_oracle_cases_include_rank_below_rows():
+    """The rank-deficient case above is not vacuous at any prime."""
+    primes = {f.prime for _, f, truncation in ORACLE_INPUTS
+              if rank_below_rows(f, span_probe(f, stabilizer_spec(f), 0,
+                                               truncation).generators)}
+    assert primes == set(ORACLE_DRAWS)
+
+
 @pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
 def test_solve_equals_dense_oracle(name, f, truncation):
     p = f.prime
@@ -374,9 +447,12 @@ def test_solve_equals_dense_oracle(name, f, truncation):
     # rank deficient: a repeated generator and a combination of two others
     deficient = list(gens) + [gens[0],
                               gens[0].scaled(random_cyclo(rng, p)) + gens[-1]]
+    prefix = rank_below_rows(f, gens)
+    zero_target = TestFunction(p, EXACT, {})
     cases = ([(gens, m) for m in members] + [(gens, o) for o in outsiders]
              + [(next_gens, d) for d in dilated]
-             + [(deficient, m) for m in members])
+             + [(deficient, m) for m in members] + prefix
+             + [([], zero_target), ([], members[0]), (gens, zero_target)])
     for generators, target in cases:
         sparse = solve_in_span(generators, target)
         assert sparse == dense_solve(generators, target)
@@ -385,6 +461,13 @@ def test_solve_equals_dense_oracle(name, f, truncation):
         assert solve_in_span(deficient, m) is not None
     for o in outsiders:
         assert solve_in_span(gens, o) is None
+    for generators, target in prefix:
+        rows = {idx for g in generators for idx in g.terms}
+        assert len(rows) > len(generators)
+        assert solve_in_span(generators, target) is None
+    assert solve_in_span([], zero_target) == []
+    assert solve_in_span([], members[0]) is None
+    assert solve_in_span(gens, zero_target) == [CycloNumber.zero(p)] * len(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +516,15 @@ def test_span_probe_equals_group_action(data):
     spec = orbit_spec(p, gamma_a, gamma_0)
     gamma = data.draw(st.integers(-2, 2))
     probe = span_probe(f, spec, gamma, truncation)
-    _, members = span_probe_oracle(f, spec, gamma, truncation)
+    labels, members = span_probe_oracle(f, spec, gamma, truncation)
     # the oracle builds one member per label of dilation_indices x grid, in order
     assert_same_members(probe.generators, members)
+    # generator k has J = dilation_indices(spec)[k // T], n = translations[k % T]
+    assert isinstance(probe, SpanProbe)
+    T = len(probe.translations)
+    assert labels == [OrbitIndex(gamma, probe.translations[k % T],
+                                 dilation_indices(spec)[k // T])
+                      for k in range(len(probe.generators))]
 
 
 # ---------------------------------------------------------------------------
@@ -553,28 +642,82 @@ class TestCovariantMechanism:
         assert [c for c in calls if c[0] == lo] \
             == [(lo, J, grid) for J in dilation_indices(spec)]
 
+    @staticmethod
+    def mutate_next_span(monkeypatch, mutant, gamma, grid):
+        """Replace every member built at gamma + 1 by a mutant: rotated
+        moves each translation one place along the grid (the same span,
+        members the carried coefficients no longer match), undilated builds
+        the members at gamma instead (a span that misses the dilation)."""
+        orbit_members_ = mra.orbit_members
+
+        def members(f, spec, gamma_, J, translations):
+            if gamma_ == gamma + 1:
+                if mutant == "rotated":
+                    translations = [grid[(grid.index(n) + 1) % len(grid)]
+                                    for n in translations]
+                else:
+                    gamma_ = gamma
+            return orbit_members_(f, spec, gamma_, J, translations)
+
+        monkeypatch.setattr(mra, "orbit_members", members)
+
     @pytest.mark.parametrize("mutant,in_span", [("rotated", True), ("undilated", False)])
     def test_missed_carry_falls_back_to_the_oracle_verdict(self, monkeypatch, mutant,
                                                           in_span):
-        """The generators at gamma + 1 replaced by a mutant that the carried
-        coefficients no longer match: rotated by one place (the same span),
-        or the generators at gamma (a span that misses the dilation).  The
-        check solves again, and its verdict is the oracle's."""
+        """The members built at gamma + 1, the carried ones and the full
+        span alike, replaced by a mutant that the carried coefficients no
+        longer match.  The check builds the full span and solves again, and
+        its verdict is the oracle's on that span."""
         f = two_scale_function()
         spec = stabilizer_spec(f)
-        gens = span_probe(f, spec, 0, 1).generators
+        probe = span_probe(f, spec, 0, 1)
+        gens = probe.generators
         member = gens[0] + gens[3].scaled(root_of_unity(2, 3))
         dilated = act_on_function(affine(3, 0, 3), member)
-        target = span_probe(f, spec, 1, 1)
-        mutated = (target.generators[1:] + target.generators[:1] if mutant == "rotated"
-                   else gens)
-        monkeypatch.setattr(
-            mra, "span_probe",
-            lambda f_, spec_, gamma, truncation: span_probe(f_, spec_, gamma, truncation)
-            if gamma == 0 else SpanProbe(gamma, truncation, mutated))
+        honest = span_probe(f, spec, 1, 1).generators
+        self.mutate_next_span(monkeypatch, mutant, 0, probe.translations)
+        mutated = span_probe(f, spec, 1, 1).generators
+        assert mutated != honest
+        if mutant == "rotated":
+            assert all(m in honest for m in mutated) and len(mutated) == len(honest)
+        else:
+            assert mutated == gens
         solves = []
         monkeypatch.setattr(mra, "solve_in_span",
                             lambda gens, target: solves.append(1) or solve_in_span(gens, target))
         assert scaling_relation_check(f, spec, member, 0, 1) is in_span
         assert (solve_in_span(mutated, dilated) is not None) is in_span
         assert len(solves) == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_carry_builds_only_members_with_nonzero_coefficients(self, monkeypatch, p):
+        """An in-span member: one span probe, at gamma, and at gamma + 1 one
+        orbit_members call per J that carries a nonzero coefficient, with
+        as many translations as it has nonzero coefficients.  A forced
+        fallback builds the full span at gamma + 1 once more."""
+        f = two_scale_function(p)
+        spec = stabilizer_spec(f)
+        gamma, truncation = 1, 1
+        probe = span_probe(f, spec, gamma, truncation)
+        gens, grid = probe.generators, probe.translations
+        member = gens[0] + gens[1].scaled(CycloNumber.from_rational(2, p)) \
+            + gens[-1].scaled(root_of_unity(1, p))
+        coefficients = solve_in_span(gens, member)
+        nonzero = [k for k, c in enumerate(coefficients) if c]
+        carried_Js = sorted({dilation_indices(spec)[k // len(grid)] for k in nonzero})
+        assert 2 <= len(nonzero) < len(gens)
+
+        probes, calls = self.record(monkeypatch)
+        assert scaling_relation_check(f, spec, member, gamma, truncation)
+        assert probes == [gamma]
+        carried = [c for c in calls if c[0] == gamma + 1]
+        assert [J for _, J, _ in carried] == carried_Js
+        assert sum(n for _, _, n in carried) == len(nonzero)
+
+        probes.clear()
+        calls.clear()
+        self.mutate_next_span(monkeypatch, "rotated", gamma, grid)
+        assert scaling_relation_check(f, spec, member, gamma, truncation)
+        assert probes == [gamma, gamma + 1]
+        full = [c for c in calls if c[0] == gamma + 1][len(carried):]
+        assert full == [(gamma + 1, J, len(grid)) for J in dilation_indices(spec)]
