@@ -22,23 +22,27 @@ a grouped strategy that counts before it multiplies.  An index that carries
 a single term pair (wf, wg) contributes |C_wf|^2 |C_wg|^2 whatever the index
 (phases are unimodular), so such indices are only counted: an integer
 multiplicity per pair, which covers a whole (gamma, J mod p) group with a
-single pair, for every lift of J at once.  When several pairs collide, their
-solution cosets are walked digit by digit per J on integers: with the
-translations of f and g scaled to numerators N over one p**K, the pair
-(wf, wg) pins the digits of n below -wf.gamma to those of
-B / p**(K + wf.gamma), B = (N_g J^-1 - N_f) mod p**K.  Each cell where
-pairs still collide is evaluated honestly through the group action, all
-cells of one (gamma, J) in one call of the integer kernel on the group's
-terms of f, the only terms that can land on a term of g there.  Each
-squared coefficient norm is computed once per term.  Both strategies are
-exact and are tested against each other, and the grouped one also against
-a ``Fraction`` reference of the same walk.  Both check at entry that f, g
-and the stabilizer spec share one prime and f and g one coefficient mode.
+single pair, for every lift of J at once.  When several pairs collide,
+their solutions are sorted per J on integers: with the translations of f
+and g scaled to numerators N over one p**K, the pair (wf, wg) pins the
+digits of n below -wf.gamma to those of B / p**(K + wf.gamma),
+B = (N_g J^-1 - N_f) mod p**K, so it is solved on a cylinder, a p-adic
+ball.  Balls are nested or disjoint, so one pass over the digit positions
+with one branching rule sorts every n by the pairs it solves
+(``_collision_leaves``).  Each class where pairs still collide is evaluated
+honestly as an orbit member of all of f, all classes of one (gamma, J) in
+one call of the integer kernel.  Every such class ends at the same digit
+position, so the pass yields the classes in the order of a depth-first walk
+of the same branching, the order the energies are summed in.  Each squared
+coefficient norm is computed once per term.  Both strategies are exact and
+are tested against each other, and the grouped one also against a
+``Fraction`` reference of the depth-first walk.  Both check at entry that
+f, g and the stabilizer spec share one prime and f and g one coefficient
+mode.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -59,7 +63,6 @@ from .errors import (
 )
 from .padic import (
     CosetRepresentative,
-    _p_part,
     digit_grid,
     ppow,
     rational_valuation,
@@ -292,64 +295,60 @@ def orbit_energy_direct(f: TestFunction, spec: StabilizerSpec,
 
 def _collision_leaves(p: int, k: int, profiles: Sequence[int],
                       bases: Sequence[int], top: int, counts: list[int]):
-    """Walk the union of solution cosets digit by digit.
+    """Sort the translations n of one (gamma, J) by the pairs they solve, in
+    one pass over the digit positions lo = min(profiles) - k to
+    hi = max(profiles), for two or more pairs.
 
     Pair i pins the digits of n below its profile position
     profiles[i] = -wf.gamma to those of bases[i] / p**(k - profiles[i]) and
     reads exactly one free digit, the one at the profile position (higher
     digits shift the character argument by p-adic integers times p, leaving
-    both the target index and the phase untouched).  The walk therefore
-    branches only at pinned or profile positions and multiplies a count
-    everywhere else, up to position ``top`` = -gamma_0.  A branch left with
-    a single pair i adds its multiplicity to ``counts[i]``; each branch
-    where several pairs still collide becomes a leaf.
+    both the target index and the phase untouched).  So pair i is solved on
+    a cylinder, a ball of n.  The frontier holds (alive pairs, n,
+    multiplicity): the ball of n fixed below the current position and the
+    pairs whose balls meet it.  Balls are nested or disjoint, so an alive
+    pair either survives every digit (its ball contains the entry's) or is
+    pinned to one digit (its ball lies inside).  Each entry branches on
+    every digit if an alive pair reads the position, and otherwise on each
+    digit a pinned pair requires plus one spare digit, of weight
+    p - |required|, standing for the rest, where only the unpinned pairs
+    survive.  Positions hi + 1 .. top (top = -gamma_0) are read and pinned
+    by no pair and enter as the starting multiplicity.  An entry left with
+    a single pair i adds its multiplicity times the free digits of i up to
+    hi to ``counts[i]``.  All cells of a leaf have the same alive pairs and
+    the same digit at their profiles, hence the same energy.
 
-    Returns the leaves in walk order as (n, multiplicity), n an integer
-    numerator over p**-lo, and lo.
+    Every leaf sits at position hi + 1 and each level keeps its children in
+    branch order, so the leaves come in the order of a depth-first walk of
+    the same branching.  Returns the leaves as (alive, n, multiplicity),
+    n an integer numerator over p**-lo, and lo.
     """
-    hi, low = max(profiles), min(profiles)
-    lo = low - k
-    # pair i pins n to bases[i] p**(profiles[i] - k) below its profile; walk
-    # from the lowest position where a pair pins a nonzero digit, or low
+    hi = max(profiles)
+    lo = min(profiles) - k
+    # pair i pins the digits of n below its profile to those of pins[i] p**lo
     pins = [b * p ** (prof - k - lo) for prof, b in zip(profiles, bases)]
-    common = math.gcd(*pins)
-    shift = min(low - lo, _p_part(common, p)[0]) if common else low - lo
-    pins = [pin // p**shift for pin in pins]
-    lo += shift
-    leaves = []
-
-    def walk(pos: int, alive: tuple, n: int, unit: int, mult: int):
-        if not alive:
-            return
-        if len(alive) == 1:
-            # one surviving pair: below its profile the digits are pinned,
-            # at and above it every choice yields the same squared product
-            i = alive[0]
-            counts[i] += mult * p ** (hi - max(pos, profiles[i]) + 1)
-            return
-        if pos > hi:
-            leaves.append((n, mult))
-            return
-        cons = {i: pins[i] // unit % p for i in alive if pos < profiles[i]}
-        if any(profiles[i] == pos for i in alive):
-            for d in range(p):
-                walk(pos + 1, tuple(i for i in alive if cons.get(i, d) == d),
-                     n + d * unit, unit * p, mult)
-        elif cons:
-            required = sorted(set(cons.values()))
-            for r in required:
-                walk(pos + 1, tuple(i for i in alive if cons.get(i, r) == r),
-                     n + r * unit, unit * p, mult)
-            survivors = tuple(i for i in alive if i not in cons)
-            if survivors and len(required) < p:
-                spare = next(d for d in range(p) if d not in required)
-                walk(pos + 1, survivors, n + spare * unit, unit * p,
-                     mult * (p - len(required)))
-        else:
-            walk(pos + 1, alive, n, unit * p, mult * p)
-
-    walk(lo, tuple(range(len(bases))), 0, 1, p ** (top - hi))
-    return leaves, lo
+    frontier = [(tuple(range(len(bases))), 0, p ** (top - hi))]
+    unit = 1
+    for pos in range(lo, hi + 1):
+        level = []
+        for alive, n, mult in frontier:
+            cons = {i: pins[i] // unit % p for i in alive if pos < profiles[i]}
+            digits = range(p) if any(profiles[i] == pos for i in alive) \
+                else sorted(set(cons.values()))
+            branches = [(d, 1) for d in digits]
+            if len(digits) < p and len(cons) < len(alive):
+                spare = next(d for d in range(p) if d not in digits)
+                branches.append((spare, p - len(digits)))
+            for d, weight in branches:
+                kept = tuple(i for i in alive if cons.get(i, d) == d)
+                if len(kept) == 1:
+                    i = kept[0]
+                    counts[i] += mult * weight * p ** (hi - max(pos, profiles[i] - 1))
+                else:
+                    level.append((kept, n + d * unit, mult * weight))
+        frontier = level
+        unit *= p
+    return frontier, lo
 
 
 def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
@@ -358,26 +357,22 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
 
     Every orbit index that carries exactly one term wf of f onto a term wg
     of g contributes |C_wf|^2 |C_wg|^2, whatever the index, so such indices
-    are only counted: a (gamma, J mod p) group with a single pair adds
-    p**(wf.gamma - gamma_0 + 1) for each of the p**(gamma_a - 1) values of J
-    in the residue class at once, and the collision walk adds its
-    single-pair branches.
+    are only counted.  A (gamma, J mod p) group with a single pair is solved
+    by p**(wf.gamma - gamma_0 + 1) translations for each of the
+    p**(gamma_a - 1) values of J in the residue class, so it contributes
+    exactly p**(gamma_a - gamma_0 + wf.gamma) |C_wf|^2 |C_wg|^2, which is
+    its share of frame_bound * ||g||^2.
 
-    A group with several pairs is walked per J, on integers: with N = n p**K
-    for the translations of f and g (K their largest digit count), the pair
-    (wf, wg) is solved by the translations
+    A group with several pairs is sorted per J by ``_collision_leaves``, on
+    integers: with N = n p**K for the translations of f and g (K their
+    largest digit count), the pair (wf, wg) is solved by the translations
     n = B / p**(K + wf.gamma) + (free digits at -wf.gamma .. -gamma_0) with
-    B = (N_g J^-1 - N_f) mod p**K (see ``_pair_bases``).  The walk's leaves,
-    where pairs still collide, are evaluated honestly by the group action in
-    one ``affine._act_terms`` call per (gamma, J) over all leaf translations.
-    Only the group's terms of f enter that call: a term wf reaches a term
-    wg at orbit index (gamma, n, J) only if gamma = wf.gamma - wg.gamma and
-    J = wf.j / wg.j mod p (scale and unit of the image do not depend on n),
-    so every term of f that lands on a term of g at this (gamma, J) is in
-    the group.  The action is injective on labels, so leaving the other
-    terms out changes no coefficient that meets g; each leaf's inner
-    product is summed over g's labels in g's order and the leaf energies in
-    walk order, as a full orbit member would give.
+    B = (N_g J^-1 - N_f) mod p**K (see ``_pair_bases``).  Its single-pair
+    cells are counted as above.  Each leaf, where pairs still collide, is
+    the orbit member of all of f, built by the group action in one
+    ``affine._act_terms`` call per (gamma, J) over all leaf translations;
+    its inner product with g is summed over all of g's labels in g's
+    order, and the leaf energies in walk order.
 
     Each squared coefficient norm is computed once, so the result is
     sum(count * |C_wf|^2 |C_wg|^2) plus the honest leaf energies.
@@ -385,6 +380,7 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
     _check_operands(f, spec, g)
     p, field = f.prime, f.field
     lifts = p ** (spec.gamma_a - 1)  # values of J in one residue class mod p
+    f_terms = list(f.terms.items())
     g_nsq = {wg: field.nsq(c) for wg, c in g.terms.items()}
     weights = {}  # wf -> sum of count * |C_wg|^2 over the pairs (wf, wg)
     total = zero = field.real_zero(p)
@@ -403,10 +399,6 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
                     k, pk, numerators = _translation_numerators(f, g)
                 counts = [0] * len(pairs)
                 profiles = [-wf.gamma for wf, _ in pairs]
-                group_f = {wf for wf, _ in pairs}
-                group_g = {wg for _, wg in pairs}
-                f_terms = [(wf, c) for wf, c in f.terms.items() if wf in group_f]
-                g_terms = [(wg, c) for wg, c in g.terms.items() if wg in group_g]
                 for t in range(lifts):
                     J = j_res + t * p
                     leaves, lo = _collision_leaves(
@@ -415,12 +407,12 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
                     if not leaves:
                         continue
                     members = _act_terms(
-                        p, ppow(p, gamma) * J, [(n, -lo, 1) for n, _ in leaves],
+                        p, ppow(p, gamma) * J, [(n, -lo, 1) for _, n, _ in leaves],
                         f_terms, phase)
                     energy = zero
-                    for member, (_, mult) in zip(members, leaves):
+                    for member, (_, _, mult) in zip(members, leaves):
                         value = field.zero(p)
-                        for wg, cg in g_terms:
+                        for wg, cg in g.terms.items():
                             cm = member.get(wg)
                             if cm is not None:
                                 value = value + cg * cm.conjugate()

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from orbit_strategies import (
     assert_same_members,
     colliding_frame_cases,
     expansions,
+    fraction_digit_expansion,
     fraction_digit_grid,
     grid_translations,
     oracle_member,
@@ -37,6 +40,7 @@ from padicframes.errors import (
 )
 from padicframes.frames import (
     OrbitIndex,
+    _collision_leaves,
     _pair_groups,
     dilation_indices,
     frame_bound,
@@ -615,6 +619,85 @@ def test_grouped_energy_equals_fraction_reference_and_direct(data):
         assert grouped.hex() == reference.hex()
         assert f.field.residual_is_zero(grouped - direct, bound=frame_bound(f, spec),
                                         g_nsq=norm_sq(g))
+
+
+def pinned_digits(p, k, profiles, bases):
+    """Per pair i, the (position, digit) list it pins on positions
+    min(profiles) - k .. profiles[i] - 1: the digits of
+    bases[i] / p**(k - profiles[i])."""
+    lo = min(profiles) - k
+    out = []
+    for prof, b in zip(profiles, bases):
+        digits = fraction_digit_expansion(b * ppow(p, prof - k), p)
+        out.append([(pos, digits.get(pos, 0)) for pos in range(lo, prof)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_collision_leaves_equal_cell_by_cell_oracle(data):
+    """The walk's contract, checked on every digit string on lo .. top: its
+    counts are the single-alive cells per pair, and each leaf class (alive
+    pairs, the digits at their profiles) holds as many multi-alive cells as
+    its leaves' summed multiplicity.  Each leaf's n, with zeros above its
+    highest digit, is itself a cell of its class."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    k = data.draw(st.integers(0, 2))
+    pairs = data.draw(st.integers(2, 4))
+    profiles = data.draw(st.lists(st.integers(-1, 2), min_size=pairs, max_size=pairs))
+    # shared bases make pairs collide; a zero base pins only zero digits
+    choices = data.draw(st.lists(st.integers(0, p**k - 1), min_size=1, max_size=2))
+    bases = data.draw(st.lists(st.sampled_from(choices + [0]),
+                               min_size=pairs, max_size=pairs))
+    top = max(profiles) + data.draw(st.integers(0, 1))
+    lo = min(profiles) - k
+    assume(p ** (top - lo + 1) <= 5**6)
+    pins = pinned_digits(p, k, profiles, bases)
+
+    def cell_class(cell):
+        """The pairs the cell solves and its digits at their profiles;
+        cell[i] is the digit at position lo + i."""
+        alive = tuple(i for i, pinned in enumerate(pins)
+                      if all(cell[pos - lo] == d for pos, d in pinned))
+        return alive, tuple(cell[profiles[i] - lo] for i in alive)
+
+    single = [0] * pairs
+    multi = Counter()
+    for cell in itertools.product(range(p), repeat=top - lo + 1):
+        alive, digits = cell_class(cell)
+        if len(alive) == 1:
+            single[alive[0]] += 1
+        elif alive:
+            multi[alive, digits] += 1
+    counts = [0] * pairs
+    leaves, walk_lo = _collision_leaves(p, k, profiles, bases, top, counts)
+    assert walk_lo == lo
+    assert counts == single
+    classes = Counter()
+    for alive, n, mult in leaves:
+        digits = fraction_digit_expansion(n * ppow(p, lo), p)
+        key = cell_class(tuple(digits.get(pos, 0) for pos in range(lo, top + 1)))
+        assert key[0] == alive and len(alive) >= 2
+        classes[key] += mult
+    assert classes == multi
+
+
+def test_thousand_digit_translation_gives_exact_zero():
+    """A probe term with a 1,000-digit translation makes each collision
+    walk of its group 1,001 positions long; both strategies return the
+    exact zero residual."""
+    p = 3
+
+    def psi(gamma, n, j):
+        return TestFunction.single(wavelet_index(gamma, n, j, p))
+
+    f = psi(0, 0, 1) + psi(0, Fraction(1, 3), 1).scaled(CycloNumber.from_rational(2, p))
+    g = psi(0, 0, 1) + psi(0, Fraction(1, 3), 1) + psi(5, Fraction(1, 3**1000), 2)
+    spec = spec_of(f)
+    assert g.max_translation_digits() == 1000 and has_collision(f, g)
+    grouped = verify_tight_frame(f, spec, g)
+    assert grouped.is_zero()
+    assert grouped == verify_tight_frame(f, spec, g, method="direct")
 
 
 def _mismatched_operands(case):

@@ -142,3 +142,33 @@ def test_p_power_split_is_flagged():
                                     (8, "while")]
     padic = ast.parse((SOURCE / "padic.py").read_text())
     assert {kind for _, kind in p_power_splits(padic)} == {"while"}
+
+
+def p_part_uses(tree):
+    """Lines that import ``_p_part`` by name or read it off a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and any(alias.name == "_p_part" for alias in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_p_part":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name not in ("padic.py", "affine.py")],
+                         ids=lambda path: path.name)
+def test_p_part_stays_in_padic_and_affine(path):
+    """The one p-power split is ``padic``'s; only the affine kernel, which
+    splits translation denominators, borrows it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert p_part_uses(tree) == []
+
+
+def test_p_part_use_is_flagged():
+    tree = ast.parse("from .padic import rep_mod, _p_part\nfrom . import padic\n"
+                     "e, r = padic._p_part(k, p)\nfrom .padic import rep_mod\n")
+    assert p_part_uses(tree) == [1, 3]
+    affine = ast.parse((SOURCE / "affine.py").read_text())
+    assert p_part_uses(affine) != []
