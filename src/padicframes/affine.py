@@ -273,17 +273,20 @@ def stabilizer_spec(f: TestFunction) -> StabilizerSpec:
 
     gamma_a caps |1 - a|: the minimum of p**-1 and, over pairs of terms with
     distinct support centers, max(p**(gamma_i - 1), p**(gamma_j - 1)) divided
-    by the center distance.
+    by the center distance.  A center p**-gamma * N / p**D is the integer
+    C = N * p**(E - gamma - D) over one p**E, E the largest gamma + D, so a
+    distance exponent is E minus the valuation of C_i - C_j.
     """
     if f.is_zero():
         raise EmptyFunctionError("empty expansion has no stabilizer data")
     p = f.prime
-    centers = [(idx.gamma, idx.support_center()) for idx in f.terms]
+    top = max(idx.gamma + idx.n.den_exponent for idx in f.terms)
+    centers = [(idx.gamma, idx.n.numerator_over(top - idx.gamma)) for idx in f.terms]
     gamma_a = 1
     for (g1, c1), (g2, c2) in itertools.combinations(centers, 2):
         if c1 == c2:
             continue
-        dist_exp = -int(rational_valuation(c1 - c2, p))
+        dist_exp = top - _p_part(c1 - c2, p)[0]
         gamma_a = max(gamma_a, 1 - max(g1, g2) + dist_exp)
     gamma_0 = min(g for g, _ in centers)
     anchors = sorted(
@@ -292,8 +295,10 @@ def stabilizer_spec(f: TestFunction) -> StabilizerSpec:
     n_0 = anchors[0]
     # Any admissible anchor gives the same b-ball; the pair bound above
     # forces |n - n'| * |1 - a| <= p**-1 for anchors at the minimal scale.
+    depth = max(n.den_exponent for n in anchors)
+    base = n_0.numerator_over(depth)
     for other in anchors[1:]:
-        diff_exp = -int(rational_valuation(n_0.value - other.value, p))
+        diff_exp = depth - _p_part(base - other.numerator_over(depth), p)[0]
         if diff_exp + 1 > gamma_a:
             raise InvariantError(
                 f"anchors {n_0.value} and {other.value} give different b-balls")

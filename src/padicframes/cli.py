@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import frames, mra
 from .affine import genericity_check, stabilizer_spec
-from .errors import ModeMismatchError, PadicError
+from .errors import ConfigError, ModeMismatchError, PadicError
 from .io import (
     RunConfig,
     load_config,
@@ -27,7 +27,7 @@ from .io import (
     serialize_function,
 )
 from .padic import CosetRepresentative, digit_grid
-from .sampling import random_test_function
+from .sampling import grid_labels, random_test_function
 from .wavelets import (
     EXACT,
     FLOAT,
@@ -72,8 +72,15 @@ def _probe_grid(cfg: RunConfig) -> dict:
 
 
 def _random_probes(cfg: RunConfig, count: int):
+    """``count`` seeded probes on the probe grid, which must hold as many
+    labels as one probe may draw distinct terms."""
     rng = random.Random(cfg.seed)
     grid = _probe_grid(cfg)
+    labels = grid_labels(cfg.prime, grid["gamma_range"], grid["max_translation_digits"])
+    if count and labels < grid["max_terms"]:
+        raise ConfigError(
+            f"probe grid {grid} has label count {labels}, below the "
+            f"{grid['max_terms']} distinct terms a random probe may draw")
     return [
         random_test_function(
             rng, cfg.prime,
@@ -179,8 +186,8 @@ def _cmd_frame_bound(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_frame_check(cfg: RunConfig) -> tuple[dict, int]:
     f = _require_function(cfg)
-    spec = stabilizer_spec(f)
     probes, grid = _random_probes(cfg, cfg.random_g)
+    spec = stabilizer_spec(f)
     report = frames.run_frame_check(f, spec, probes)
     results = {
         "frame_bound": serialize_amount(report.frame_bound, cfg.mode),

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,6 +332,32 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, name):
     code, out, err = run_cli(capsys, "--config", cfg, "--command", "frame-check")
     assert code == 2 and out == ""
     assert err.startswith("config:")
+
+
+# Probe grids that pass config validation but hold fewer labels than one
+# probe may draw: the first used to loop forever looking for 4 distinct
+# labels among 1, the second crashed on gamma clipped to [4, 2].
+NARROW_PROBE_GRIDS = {
+    "one_label_p2": (dict(prime=2, gamma_min=0, gamma_max=0, n_digit_bound=0), 1),
+    "empty_gamma_p3": (dict(gamma_min=4, gamma_max=6), 0),
+}
+
+
+@pytest.mark.parametrize("command", ["frame-check", "oracle-check"])
+@pytest.mark.parametrize("name", sorted(NARROW_PROBE_GRIDS))
+def test_narrow_probe_grid_exits_2_up_front(tmp_path, command, name):
+    """In a child process with a timeout, so a hang fails instead of stalling."""
+    overrides, labels = NARROW_PROBE_GRIDS[name]
+    cfg = write_config(tmp_path, **overrides)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicframes.cli", "--config", cfg, "--command", command],
+        capture_output=True, text=True, timeout=10, env=env, check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("config: probe grid")
+    assert f"label count {labels}," in proc.stderr
 
 
 def test_integral_json_values_still_accepted():
