@@ -154,8 +154,9 @@ def _act_terms(p: int, a: Fraction, translations: Sequence[tuple[int, int, int]]
     and m needs it modulo p**(K + 1), so u and the prime-to-p part of the
     denominator of n reduce modulo p**(K + 1) through modular inverses.
     Each distinct target label is built once per call, keyed on
-    (gamma', p**K {y}, j'), ``phase(c, m)`` is called once per (term, m),
-    and each dict folds the phased coefficients in term order.
+    (gamma', p**K {y}, j'), and ``phase(c, m)`` is called once per
+    (term, m).  The action permutes labels, so no two terms share a target
+    and each dict writes each target once, in term order.
     """
     v = int(rational_valuation(a, p))
     t = max((e for _, e, _ in translations), default=0)
@@ -186,7 +187,7 @@ def _act_terms(p: int, a: Fraction, translations: Sequence[tuple[int, int, int]]
             nc = phased.get(m)
             if nc is None:
                 nc = phased[m] = phase(c, m)
-            out[target] = out[target] + nc if target in out else nc
+            out[target] = nc
         outs.append(out)
     return outs
 

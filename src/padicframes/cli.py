@@ -26,7 +26,7 @@ from .io import (
     serialize_amount,
     serialize_function,
 )
-from .padic import CosetRepresentative, digit_grid
+from .padic import CosetRepresentative
 from .sampling import grid_labels, random_test_function
 from .wavelets import (
     EXACT,
@@ -132,11 +132,10 @@ def _cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 1)
     mod_exp = 1 - spec.gamma_0
-    nums = sorted(digit_grid(p, -digit_cap, mod_exp))  # n = num / p**digit_cap
-    # the first _ORBIT_CAP indices in (gamma, n, J) order, built in that order
+    # the first _ORBIT_CAP indices in (gamma, n = num / p**digit_cap, J) order
     grid = ((gamma, num, J)
             for gamma in range(cfg.gamma_min, cfg.gamma_max + 1)
-            for num in nums
+            for num in range(p ** max(mod_exp + digit_cap, 0))
             for J in frames.dilation_indices(spec))
     indices = [
         frames.OrbitIndex(
@@ -245,7 +244,7 @@ def _cmd_mra_demo(cfg: RunConfig) -> tuple[dict, int]:
     p = cfg.prime
     digit_cap = min(cfg.n_digit_bound, 3)
     shifts = [CosetRepresentative(p, num, 0, _den_exponent=digit_cap)
-              for num in digit_grid(p, -digit_cap, 0)]
+              for num in range(p**digit_cap)]
     gram = mra.scaling_shift_gram(p, shifts)
     gram_identity = all(
         gram[i][k] == (1 if i == k else 0)

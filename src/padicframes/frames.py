@@ -63,7 +63,6 @@ from .errors import (
 )
 from .padic import (
     CosetRepresentative,
-    digit_grid,
     ppow,
     rational_valuation,
     rep_mod,
@@ -245,7 +244,7 @@ def relevant_orbit_indices(f: TestFunction, spec: StabilizerSpec,
                 for (wf, _), b in zip(pairs, bases):
                     # n = (b + o p**K) / p**(K + wf.gamma), with o the free
                     # digits at positions -wf.gamma .. -gamma_0
-                    for offset in digit_grid(p, -wf.gamma, mod_exp):
+                    for offset in range(p ** (mod_exp + wf.gamma)):
                         n = CosetRepresentative(p, b + offset * pk, mod_exp,
                                                 _den_exponent=k + wf.gamma)
                         out.add(OrbitIndex(gamma, n, J))
@@ -470,7 +469,7 @@ def phase_fix_multiplicity(gamma1: int, n1: CosetRepresentative,
     for t in range(p ** (spec.gamma_a - 1)):
         J = 1 + t * p
         lhs_n, lhs_1 = J * grid_scale, (1 - J) * anchor
-        for num in digit_grid(p, -window, 1 - spec.gamma_0):
+        for num in range(p ** max(1 - spec.gamma_0 + window, 0)):
             if (lhs_n * num - lhs_1) % pm == 0:
                 count += 1
     return count

@@ -10,7 +10,7 @@ A translation in Q_p / p**k Z_p is a :class:`CosetRepresentative`, stored on
 integers as N / p**D.  It is checked once, at its public constructor, which
 raises :class:`NotPIntegralError` for a denominator that is not a power of p;
 the integer kernels of the other modules read and build it directly, and
-``digit_grid`` walks digit strings as integer numerators over one p-power.
+``digit_grid`` walks digit strings in the order that some callers rely on.
 ``check_prime`` is the one prime check, made where p enters the library.
 """
 
@@ -125,7 +125,9 @@ def digit_grid(p: int, lo: int, hi: int) -> Iterator[int]:
     its value N * p**lo = sum d_k p**k.
 
     Strings come in ``itertools.product`` order, the highest position varying
-    fastest; an empty window (hi <= lo) yields the single numerator 0.
+    fastest, which ``mra`` and ``wavelets.sample`` rely on; an empty window
+    (hi <= lo) yields the single numerator 0.  Walks whose order does not
+    matter take ``range(p**(hi - lo))``, the same numerators sorted.
     """
     grid = [0]
     for k in range(hi - lo):

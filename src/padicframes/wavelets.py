@@ -329,13 +329,14 @@ def evaluate_at(f: TestFunction, x: Union[Fraction, int]) -> complex:
 @dataclass(frozen=True)
 class SampledFunction:
     """Values of a locally constant function on the lattice of canonical
-    representatives of cosets of p**K Z_p inside the ball |x| <= p**L.
+    representatives of cosets of p**K Z_p inside the ball |x| <= p**L,
+    keyed by the integer x of the point x / p**E, E = max(L, 0).
     Missing keys mean value zero."""
 
     prime: int
     resolution: int  # K
     support_exponent: int  # L
-    values: Mapping[Fraction, complex]
+    values: Mapping[int, complex]
 
     def lattice(self) -> tuple[int, int]:
         return (self.resolution, self.support_exponent)
@@ -372,12 +373,12 @@ def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFu
     + s * p**(E - gamma) is an integer, and the value there is
     c * p**(-gamma/2) * zeta**(j * s mod p), which depends on the lowest
     digit d_0 only.  So the p possible values are computed once per term and
-    each point costs one integer add and one dict update.
+    each point costs one integer add and one dict update on its key x * p**E.
 
     Terms are walked in ``f.terms`` order and s in ``digit_grid`` order (the
     highest position varying fastest), so every key is inserted and summed
-    in the order of the pointwise evaluation: float sums over ``values``,
-    such as ``inner_product_oracle``, keep their bits.
+    in the order of the pointwise evaluation; float sums over ``values``,
+    such as ``inner_product_oracle``, keep their bits only in that order.
     """
     need_k = required_resolution(f)
     if f.terms and resolution < need_k:
@@ -388,7 +389,6 @@ def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFu
     p = f.prime
     exponent = max(support_exponent, 0)
     roots = [complex(1)] + [cmath.exp(2j * cmath.pi * (k / p)) for k in range(1, p)]
-    zero = complex(0)
     sums: dict[int, complex] = {}
     for idx, c in f.terms.items():
         cz = complex(c)
@@ -402,10 +402,9 @@ def sample(f: TestFunction, resolution: int, support_exponent: int) -> SampledFu
             start = base + d * step
             for o in offsets:
                 x = start + o
-                sums[x] = sums.get(x, zero) + value
-    denominator = p**exponent
-    values = {Fraction(x, denominator): v for x, v in sums.items() if v != 0}
-    return SampledFunction(p, resolution, support_exponent, values)
+                sums[x] = sums.get(x, 0j) + value
+    return SampledFunction(p, resolution, support_exponent,
+                           {x: v for x, v in sums.items() if v != 0})
 
 
 def inner_product_oracle(f: SampledFunction, g: SampledFunction) -> complex:

@@ -12,7 +12,8 @@ reference frame energy computes the grouped sum of
 with one full orbit member of the reference action per colliding leaf.
 The reference sampler evaluates each lattice point of the Haar oracle
 pointwise, on ``Fraction``s, independently of the integer walk of
-``wavelets.sample``.  The ``fraction_*`` oracles are the ``Fraction`` forms
+``wavelets.sample``; it keys its values by the ``Fraction`` points
+themselves, and ``lattice_points`` puts a library sample in that form.  The ``fraction_*`` oracles are the ``Fraction`` forms
 of the padic layer that the integer translation format replaced: the
 canonicity check, the digit grid and the digit expansion.  The reference
 wavelet stabilizer is the direct formula that
@@ -519,7 +520,7 @@ def colliding_frame_cases(draw, p, mode):
 def reference_sample(f, resolution, support_exponent):
     """``wavelets.sample`` point by point: each term's support offsets from
     ``fraction_digit_grid``, reduced by ``loop_rep_mod`` and evaluated by
-    ``wavelet_eval``.
+    ``wavelet_eval``, keyed by the ``Fraction`` points.
     The lattice is not validated."""
     p = f.prime
     values = {}
@@ -531,3 +532,10 @@ def reference_sample(f, resolution, support_exponent):
             values[x] = values.get(x, complex(0)) + cz * wavelet_eval(idx, x)
     values = {x: v for x, v in values.items() if v != 0}
     return SampledFunction(p, resolution, support_exponent, values)
+
+
+def lattice_points(sampled):
+    """The values of a ``wavelets.sample`` result keyed by the lattice
+    points Fraction(x, p**E), E = max(L, 0), in insertion order."""
+    denominator = sampled.prime ** max(sampled.support_exponent, 0)
+    return {Fraction(x, denominator): v for x, v in sampled.values.items()}

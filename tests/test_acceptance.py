@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from orbit_strategies import loop_mod_p
+from orbit_strategies import lattice_points, loop_mod_p
 from padicframes.affine import (
     StabilizerSpec,
     act_on_function,
@@ -214,8 +214,8 @@ def test_criterion_06_action_cross_validation():
             {out.index: FIELDS[EXACT].phase(CycloNumber.one(p), out.phase, p)})
         resolution = max(default_lattice(source)[0], default_lattice(claimed)[0])
         support = max(default_lattice(source)[1], default_lattice(claimed)[1])
-        lattice = sample(claimed, resolution, support)
-        points = set(lattice.values) | set(sample(source, resolution, support).values)
+        points = set(lattice_points(sample(claimed, resolution, support))) \
+            | set(lattice_points(sample(source, resolution, support)))
         a, b = g.a.value, g.b.value
         scale = float(rational_norm(a, p)) ** -0.5
         for x in points:

@@ -12,6 +12,7 @@ from orbit_strategies import (
     assert_same_members,
     expansions,
     grid_translations,
+    lattice_points,
     loop_mod_p,
     norm_ball_stabilizer_membership,
     norm_in_stabilizer,
@@ -232,10 +233,11 @@ class TestActOnFunction:
             g = random_affine(rng, p, valuation_range=(-1, 1), translation_digits=1, magnitude=4)
             moved = act_on_function(g, f)
             resolution, support = default_lattice(moved)
-            lattice = sample(moved, resolution, support)
+            points = lattice_points(sample(moved, resolution, support))
+            assert points
             a, b = g.a.value, g.b.value
             scale = float(rational_norm(a, p)) ** -0.5
-            for x, v in lattice.values.items():
+            for x, v in points.items():
                 assert abs(scale * evaluate_at(f, (x - b) / a) - v) <= 1e-9
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +44,21 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child_cli(cfg, command, **kwargs):
+    """The CLI in a child process with a 10 s timeout, so a hang fails
+    instead of stalling the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "padicframes.cli", "--config", cfg, "--command", command],
+        capture_output=True, text=True, timeout=10, env=env, check=False, **kwargs)
+
+
+def one_term(gamma):
+    return [{"gamma": gamma, "n": "0", "j": 1, "coeff": {"zeta_powers": [[0, "1"]]}}]
 
 
 class TestFrameCommands:
@@ -105,6 +122,32 @@ class TestAnalysisCommands:
         results = json.loads(out)["results"]
         assert results["uniform_norms"] and results["round_trip"]
         assert results["pairwise_distinct"]
+
+    def test_deep_scale_orbit_stays_small(self, tmp_path):
+        """p = 3, one term at gamma_0 = -16: the translation grid has 3**18
+        points, of which the report reads the first 200.  In a child capped
+        at 512 MB of address space the run exits 0 in under 2 s."""
+        cfg = write_config(tmp_path, function=one_term(-16))
+        cap = 512 * 2**20
+        start = time.perf_counter()
+        proc = run_child_cli(
+            cfg, "orbit",
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["count"] == _ORBIT_CAP
+        assert elapsed < 2
+
+    def test_orbit_above_the_digit_window(self, tmp_path, capsys):
+        """gamma_0 = 3 leaves no translation digit between -1 and
+        1 - gamma_0, so the grid is n = 0 alone."""
+        cfg = write_config(tmp_path, function=one_term(3), gamma_min=-1, gamma_max=1)
+        code, out, _ = run_cli(capsys, "--config", cfg, "--command", "orbit")
+        spec = stabilizer_spec(load_config(json.loads(Path(cfg).read_text())).function)
+        assert code == 0
+        assert json.loads(out)["results"] == {
+            "count": 3 * len(frames.dilation_indices(spec)), "pairwise_distinct": True,
+            "round_trip": True, "uniform_norms": True}
 
     @pytest.mark.parametrize("command", ["orbit", "genericity"])
     def test_float_named_example_matches_exact(self, tmp_path, capsys, command):
@@ -349,12 +392,7 @@ def test_narrow_probe_grid_exits_2_up_front(tmp_path, command, name):
     """In a child process with a timeout, so a hang fails instead of stalling."""
     overrides, labels = NARROW_PROBE_GRIDS[name]
     cfg = write_config(tmp_path, **overrides)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicframes.cli", "--config", cfg, "--command", command],
-        capture_output=True, text=True, timeout=10, env=env, check=False)
+    proc = run_child_cli(cfg, command)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("config: probe grid")
     assert f"label count {labels}," in proc.stderr

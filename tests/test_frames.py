@@ -24,6 +24,7 @@ from orbit_strategies import (
     reference_relevant_orbit_indices,
 )
 from padicframes.affine import (
+    StabilizerSpec,
     act_on_function,
     affine,
     compose,
@@ -57,7 +58,7 @@ from padicframes.frames import (
     run_frame_check,
     verify_tight_frame,
 )
-from padicframes.padic import CosetRepresentative, ppow, rep_mod
+from padicframes.padic import CosetRepresentative, digit_grid, ppow, rep_mod
 from padicframes.sampling import (
     base_wavelet,
     non_generic_example,
@@ -530,6 +531,36 @@ class TestPhaseFixMultiplicity:
         assert (spec.gamma_a, spec.gamma_0) == (1, -1)
         n0 = CosetRepresentative(3, Fraction(0), 0)
         assert phase_fix_multiplicity(0, n0, spec) == 9
+
+
+def digit_grid_phase_fix_multiplicity(gamma1, n1, spec):
+    """The phase-fix count over the ``digit_grid`` walk, which an empty
+    window (1 - gamma_0 <= -window) turns into the single numerator 0."""
+    p = spec.prime
+    window = max(0, gamma1 + n1.den_exponent)
+    m = max(window - gamma1, n1.den_exponent)
+    grid_scale = p ** (m - window + gamma1)
+    anchor = n1.numerator_over(m)
+    count = 0
+    for t in range(p ** (spec.gamma_a - 1)):
+        J = 1 + t * p
+        for num in digit_grid(p, -window, 1 - spec.gamma_0):
+            if (J * grid_scale * num - (1 - J) * anchor) % p**m == 0:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_phase_fix_multiplicity_equals_digit_grid_walk(p):
+    """Including minimal scales gamma_0 >= 2, whose digit window is empty
+    when the anchor has few digits."""
+    anchor = CosetRepresentative(p, Fraction(0), 0)
+    for gamma_a, gamma_0, gamma1 in itertools.product((1, 2), (-1, 0, 2, 3), (-2, 0, 1)):
+        spec = StabilizerSpec(p, gamma_a, gamma_0, anchor)
+        for n_value in (Fraction(0), Fraction(1, p), Fraction(p + 1, p**2)):
+            n1 = CosetRepresentative(p, n_value, 0)
+            assert phase_fix_multiplicity(gamma1, n1, spec) \
+                == digit_grid_phase_fix_multiplicity(gamma1, n1, spec)
 
 
 class TestReparametrization:

@@ -662,18 +662,18 @@ class TestCovariantMechanism:
         monkeypatch.setattr(mra, "orbit_members", members)
 
     @pytest.mark.parametrize("mutant,in_span", [("rotated", True), ("undilated", False)])
-    def test_missed_carry_falls_back_to_the_oracle_verdict(self, monkeypatch, mutant,
-                                                          in_span):
-        """The members built at gamma + 1, the carried ones and the full
-        span alike, replaced by a mutant that the carried coefficients no
-        longer match.  The check builds the full span and solves again, and
-        its verdict is the oracle's on that span."""
+    def test_missed_carry_is_refused(self, monkeypatch, mutant, in_span):
+        """The members built at gamma + 1 replaced by a mutant that the
+        carried coefficients no longer match.  A second elimination on the
+        mutated span would say in_span; the check returns False after one
+        span probe, at gamma, one solve, and only the carried members."""
         f = two_scale_function()
         spec = stabilizer_spec(f)
         probe = span_probe(f, spec, 0, 1)
         gens = probe.generators
         member = gens[0] + gens[3].scaled(root_of_unity(2, 3))
         dilated = act_on_function(affine(3, 0, 3), member)
+        nonzero = sum(1 for c in solve_in_span(gens, member) if c)
         honest = span_probe(f, spec, 1, 1).generators
         self.mutate_next_span(monkeypatch, mutant, 0, probe.translations)
         mutated = span_probe(f, spec, 1, 1).generators
@@ -682,19 +682,22 @@ class TestCovariantMechanism:
             assert all(m in honest for m in mutated) and len(mutated) == len(honest)
         else:
             assert mutated == gens
+        assert (solve_in_span(mutated, dilated) is not None) is in_span
+        probes, calls = self.record(monkeypatch)
         solves = []
         monkeypatch.setattr(mra, "solve_in_span",
                             lambda gens, target: solves.append(1) or solve_in_span(gens, target))
-        assert scaling_relation_check(f, spec, member, 0, 1) is in_span
-        assert (solve_in_span(mutated, dilated) is not None) is in_span
-        assert len(solves) == 2
+        assert scaling_relation_check(f, spec, member, 0, 1) is False
+        assert probes == [0] and len(solves) == 1
+        assert sum(n for gamma, _, n in calls if gamma == 1) == nonzero
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_carry_builds_only_members_with_nonzero_coefficients(self, monkeypatch, p):
         """An in-span member: one span probe, at gamma, and at gamma + 1 one
         orbit_members call per J that carries a nonzero coefficient, with
-        as many translations as it has nonzero coefficients.  A forced
-        fallback builds the full span at gamma + 1 once more."""
+        as many translations as it has nonzero coefficients.  With those
+        members mutated the check returns False on the same work: one span
+        probe, one solve and no full span at gamma + 1."""
         f = two_scale_function(p)
         spec = stabilizer_spec(f)
         gamma, truncation = 1, 1
@@ -717,7 +720,9 @@ class TestCovariantMechanism:
         probes.clear()
         calls.clear()
         self.mutate_next_span(monkeypatch, "rotated", gamma, grid)
-        assert scaling_relation_check(f, spec, member, gamma, truncation)
-        assert probes == [gamma, gamma + 1]
-        full = [c for c in calls if c[0] == gamma + 1][len(carried):]
-        assert full == [(gamma + 1, J, len(grid)) for J in dilation_indices(spec)]
+        solves = []
+        monkeypatch.setattr(mra, "solve_in_span",
+                            lambda gens, target: solves.append(1) or solve_in_span(gens, target))
+        assert scaling_relation_check(f, spec, member, gamma, truncation) is False
+        assert probes == [gamma] and len(solves) == 1
+        assert [c for c in calls if c[0] == gamma + 1] == carried

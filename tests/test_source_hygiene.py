@@ -172,3 +172,32 @@ def test_p_part_use_is_flagged():
     assert p_part_uses(tree) == [1, 3]
     affine = ast.parse((SOURCE / "affine.py").read_text())
     assert p_part_uses(affine) != []
+
+
+def digit_grid_uses(tree):
+    """Lines that read ``digit_grid`` by name or off a module."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == "digit_grid")
+                  or (isinstance(node, ast.Attribute) and node.attr == "digit_grid"))
+
+
+GRID_ORDER_MODULES = ("mra.py", "wavelets.py")
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name not in GRID_ORDER_MODULES],
+                         ids=lambda path: path.name)
+def test_digit_grid_serves_only_ordered_walks(path):
+    """A walk whose order does not matter takes ``range(p**(hi - lo))``;
+    ``digit_grid`` is left to the generator order of ``mra`` and the Haar
+    oracle's summation order in ``wavelets``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert digit_grid_uses(tree) == []
+
+
+def test_digit_grid_use_is_flagged():
+    tree = ast.parse("nums = sorted(digit_grid(p, -1, 1))\nfrom . import padic\n"
+                     "walk = padic.digit_grid\nfor n in range(p**2):\n    pass\n")
+    assert digit_grid_uses(tree) == [1, 3]
+    for name in GRID_ORDER_MODULES:
+        assert digit_grid_uses(ast.parse((SOURCE / name).read_text())) != []

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbit_strategies import MODES, PRIMES, coefficient_bits, expansions, reference_sample
+from orbit_strategies import (
+    MODES,
+    PRIMES,
+    coefficient_bits,
+    expansions,
+    lattice_points,
+    reference_sample,
+)
 from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import (
     LatticeMismatchError,
@@ -97,10 +104,12 @@ class TestSampling:
         assert err.value.required == 2
 
     def test_support_counts_translation_digits_above_scale(self):
-        # the centre 3**-1 * 1/3 = 1/9 has norm 3**2
+        # the centre 3**-1 * 1/3 = 1/9 has norm 3**2, so its key is 1/9 * 3**2
         f = psi(3, gamma=1, n=Fraction(1, 3))
         assert required_support(f) == 2
-        assert Fraction(1, 9) in sample(f, *default_lattice(f)).values
+        sampled = sample(f, *default_lattice(f))
+        assert 1 in sampled.values and Fraction(1, 9) in lattice_points(sampled)
+        assert lattice_points(sampled) == reference_sample(f, *default_lattice(f)).values
         with pytest.raises(ResolutionError) as err:
             sample(f, 1, 1)
         assert err.value.required == 2
@@ -111,12 +120,12 @@ class TestSampling:
         resolution, support = default_lattice(f)
         coarse = sample(f, resolution, support)
         fine = sample(f, resolution + 1, support)
+        # both lattices key x / 3**support; a coset splits at 3**resolution
+        child_step = 3 ** (resolution + support)
+        assert len(fine.values) == 3 * len(coarse.values)
         for x, v in coarse.values.items():
-            children = [
-                fine.values.get(x + d * Fraction(3) ** resolution, 0j)
-                for d in range(3)]
-            for child in children:
-                assert abs(child - v) < 1e-12
+            for d in range(3):
+                assert abs(fine.values[x + d * child_step] - v) < 1e-12
 
 
 class TestSymbolicInnerProducts:
@@ -192,8 +201,9 @@ class TestOracleAgreement:
         rng = random.Random(9)
         f = random_test_function(rng, 3, max_terms=3, gamma_range=(-1, 1), max_digits=1)
         resolution, support = default_lattice(f)
-        sampled = sample(f, resolution, support)
-        for x, v in list(sampled.values.items())[:30]:
+        points = lattice_points(sample(f, resolution, support))
+        assert points
+        for x, v in points.items():
             assert abs(evaluate_at(f, x) - v) < 1e-12
 
 
@@ -231,13 +241,33 @@ def test_sample_matches_pointwise_reference(data):
     sf, sg = sample(f, *lattice), sample(g, *lattice)
     rf, rg = reference_sample(f, *lattice), reference_sample(g, *lattice)
     for ours, ref in ((sf, rf), (sg, rg)):
-        assert list(ours.values.items()) == list(ref.values.items())
+        assert all(type(x) is int for x in ours.values)
+        assert list(lattice_points(ours).items()) == list(ref.values.items())
         assert [coefficient_bits(v) for v in ours.values.values()] \
             == [coefficient_bits(v) for v in ref.values.values()]
     assert coefficient_bits(inner_product_oracle(sf, sg)) \
         == coefficient_bits(inner_product_oracle(rf, rg))
-    for x, v in sf.values.items():
+    for x, v in lattice_points(sf).items():
         assert abs(evaluate_at(f, x) - v) < 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sample_keys_are_integer_numerators(p):
+    """Every key is an int x, and the points x / p**E with E = max(L, 0)
+    carry the reference sampler's values in its order, on default, finer
+    and wider lattices, and on a lattice with L < 0 (E = 0)."""
+    rng = random.Random(p)
+    cases = [(psi(p, gamma=-2), (3, -1))]
+    for _ in range(4):
+        f = random_test_function(rng, p, max_terms=4, gamma_range=(-1, 1), max_digits=2)
+        resolution, support = default_lattice(f)
+        cases += [(f, (resolution, support)), (f, (resolution + 1, support + 1))]
+    for f, lattice in cases:
+        sampled = sample(f, *lattice)
+        assert sampled.values and all(type(x) is int for x in sampled.values)
+        denominator = p ** max(lattice[1], 0)
+        assert [(Fraction(x, denominator), v) for x, v in sampled.values.items()] \
+            == list(reference_sample(f, *lattice).values.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,8 +280,9 @@ def test_sample_keys_lie_in_support_window(data):
     resolution = default_lattice(f)[0] + data.draw(st.integers(0, 1))
     support = required_support(f) + data.draw(st.integers(0, 1))
     bound = ppow(p, support)
-    for sampled in (sample(f, resolution, support), reference_sample(f, resolution, support)):
-        for x in sampled.values:
+    for points in (lattice_points(sample(f, resolution, support)),
+                   reference_sample(f, resolution, support).values):
+        for x in points:
             assert rational_norm(x, p) <= bound
 
 
