@@ -244,7 +244,7 @@ def relevant_orbit_indices(f: TestFunction, spec: StabilizerSpec,
                 for (wf, _), b in zip(pairs, bases):
                     # n = (b + o p**K) / p**(K + wf.gamma), with o the free
                     # digits at positions -wf.gamma .. -gamma_0
-                    for offset in range(p ** (mod_exp + wf.gamma)):
+                    for offset in range(p ** max(mod_exp + wf.gamma, 0)):
                         n = CosetRepresentative(p, b + offset * pk, mod_exp,
                                                 _den_exponent=k + wf.gamma)
                         out.add(OrbitIndex(gamma, n, J))

@@ -536,6 +536,7 @@ def reference_sample(f, resolution, support_exponent):
 
 def lattice_points(sampled):
     """The values of a ``wavelets.sample`` result keyed by the lattice
-    points Fraction(x, p**E), E = max(L, 0), in insertion order."""
+    points Fraction(x, p**E), E = max(L, 0), in insertion order.  The one
+    place the tests turn the sampler's integer keys into points."""
     denominator = sampled.prime ** max(sampled.support_exponent, 0)
     return {Fraction(x, denominator): v for x, v in sampled.values.items()}

@@ -98,10 +98,10 @@ def pointwise_match(g, idx, phased, tol=1e-9):
     # size the lattice from both functions separately; their sum may cancel
     resolution = max(default_lattice(source)[0], default_lattice(claimed)[0])
     support = max(default_lattice(source)[1], default_lattice(claimed)[1])
-    lattice = sample(claimed, resolution, support)
     a, b = g.a.value, g.b.value
     scale = float(rational_norm(a, p)) ** -0.5
-    points = set(lattice.values) | set(sample(source, resolution, support).values)
+    points = set(lattice_points(sample(claimed, resolution, support))) \
+        | set(lattice_points(sample(source, resolution, support)))
     for x in sorted(points) or [Fraction(0)]:
         direct = scale * evaluate_at(source, (x - b) / a)
         via_index = evaluate_at(claimed, x)

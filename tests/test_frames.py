@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -58,7 +59,7 @@ from padicframes.frames import (
     run_frame_check,
     verify_tight_frame,
 )
-from padicframes.padic import CosetRepresentative, digit_grid, ppow, rep_mod
+from padicframes.padic import CosetRepresentative, ppow, rep_mod
 from padicframes.sampling import (
     base_wavelet,
     non_generic_example,
@@ -386,6 +387,21 @@ class TestRelevantIndices:
             assert relevant_orbit_indices(f, spec, g) \
                 == reference_relevant_orbit_indices(f, spec, g)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_spec_above_every_scale_leaves_only_the_bases(self, p):
+        # with gamma_0 >= gamma + 1 for every term no digit is free, so each
+        # (pair, J) contributes its base alone, however far gamma_0 sits above
+        rng = random.Random(6200 + p)
+        f = random_generic_function(rng, p, max_terms=3, gamma_range=(-1, 1), max_digits=2)
+        g = random_test_function(rng, p, max_terms=3, gamma_range=(-1, 1), max_digits=2)
+        top = max(idx.gamma for idx in f.terms) + 1
+        found = []
+        for gamma_0 in (top, top + 1, top + 3):
+            spec = dataclasses.replace(spec_of(f), gamma_0=gamma_0)
+            found.append({(i.gamma, i.n.value, i.J)
+                          for i in relevant_orbit_indices(f, spec, g)})
+        assert found[0] and found[0] == found[1] == found[2]
+
 
 class TestFrameBound:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -532,35 +548,23 @@ class TestPhaseFixMultiplicity:
         n0 = CosetRepresentative(3, Fraction(0), 0)
         assert phase_fix_multiplicity(0, n0, spec) == 9
 
-
-def digit_grid_phase_fix_multiplicity(gamma1, n1, spec):
-    """The phase-fix count over the ``digit_grid`` walk, which an empty
-    window (1 - gamma_0 <= -window) turns into the single numerator 0."""
-    p = spec.prime
-    window = max(0, gamma1 + n1.den_exponent)
-    m = max(window - gamma1, n1.den_exponent)
-    grid_scale = p ** (m - window + gamma1)
-    anchor = n1.numerator_over(m)
-    count = 0
-    for t in range(p ** (spec.gamma_a - 1)):
-        J = 1 + t * p
-        for num in digit_grid(p, -window, 1 - spec.gamma_0):
-            if (J * grid_scale * num - (1 - J) * anchor) % p**m == 0:
-                count += 1
-    return count
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_phase_fix_multiplicity_equals_digit_grid_walk(p):
-    """Including minimal scales gamma_0 >= 2, whose digit window is empty
-    when the anchor has few digits."""
-    anchor = CosetRepresentative(p, Fraction(0), 0)
-    for gamma_a, gamma_0, gamma1 in itertools.product((1, 2), (-1, 0, 2, 3), (-2, 0, 1)):
-        spec = StabilizerSpec(p, gamma_a, gamma_0, anchor)
-        for n_value in (Fraction(0), Fraction(1, p), Fraction(p + 1, p**2)):
-            n1 = CosetRepresentative(p, n_value, 0)
-            assert phase_fix_multiplicity(gamma1, n1, spec) \
-                == digit_grid_phase_fix_multiplicity(gamma1, n1, spec)
+    @pytest.mark.parametrize("p, gamma_a, gamma_0, gamma1, n1, expected", [
+        (3, 2, 2, 0, Fraction(0), 3),
+        (2, 2, 2, 0, Fraction(0), 2),
+        (3, 2, 3, 1, Fraction(1, 3), 3),
+        (5, 1, 2, 0, Fraction(1, 5), 1),
+        (3, 2, 2, -1, Fraction(1, 9), 1),
+        (3, 3, 2, -1, Fraction(1, 9), 3),
+        (2, 3, 2, -1, Fraction(1, 4), 2),
+    ])
+    def test_empty_digit_window(self, p, gamma_a, gamma_0, gamma1, n1, expected):
+        # gamma_0 >= 1 + max(0, gamma1 + D1) leaves no free digit, so only
+        # n = 0 is tried: J = 1 + t p counts when p**m divides t p N1,
+        # m = max(window - gamma1, D1); that is every t when N1 = 0 or
+        # m <= 1, else (N1 is a unit here) every t = 0 mod p**(m - 1)
+        spec = StabilizerSpec(p, gamma_a, gamma_0, CosetRepresentative(p, Fraction(0), 0))
+        n1 = CosetRepresentative(p, n1, 0)
+        assert phase_fix_multiplicity(gamma1, n1, spec) == expected
 
 
 class TestReparametrization:

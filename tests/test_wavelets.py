@@ -76,15 +76,15 @@ class TestWaveletEval:
 class TestSampling:
     def test_base_wavelet_values_are_roots_of_unity(self):
         for p in (2, 3, 5):
-            sampled = sample(psi(p), 1, 0)
-            values = [sampled.values.get(Fraction(k), 0j) for k in range(p)]
+            points = lattice_points(sample(psi(p), 1, 0))
+            values = [points.get(Fraction(k), 0j) for k in range(p)]
             for k, v in enumerate(values):
                 assert abs(v - cmath.exp(2j * cmath.pi * k / p)) < 1e-12
 
     def test_base_wavelet_p2(self):
-        sampled = sample(psi(2), 1, 0)
-        assert abs(sampled.values[Fraction(0)] - 1) < 1e-15
-        assert abs(sampled.values[Fraction(1)] + 1) < 1e-15
+        points = lattice_points(sample(psi(2), 1, 0))
+        assert abs(points[Fraction(0)] - 1) < 1e-15
+        assert abs(points[Fraction(1)] + 1) < 1e-15
 
     def test_empty_function_all_zero(self):
         empty = TestFunction(3, EXACT, {})
@@ -118,14 +118,13 @@ class TestSampling:
         rng = random.Random(11)
         f = random_test_function(rng, 3, max_terms=4, gamma_range=(-1, 1), max_digits=1)
         resolution, support = default_lattice(f)
-        coarse = sample(f, resolution, support)
-        fine = sample(f, resolution + 1, support)
-        # both lattices key x / 3**support; a coset splits at 3**resolution
-        child_step = 3 ** (resolution + support)
-        assert len(fine.values) == 3 * len(coarse.values)
-        for x, v in coarse.values.items():
+        coarse = lattice_points(sample(f, resolution, support))
+        fine = lattice_points(sample(f, resolution + 1, support))
+        # the coset x + 3**resolution Z_3 splits into the children x + d 3**resolution
+        assert len(fine) == 3 * len(coarse)
+        for x, v in coarse.items():
             for d in range(3):
-                assert abs(fine.values[x + d * child_step] - v) < 1e-12
+                assert abs(fine[x + d * ppow(3, resolution)] - v) < 1e-12
 
 
 class TestSymbolicInnerProducts:
@@ -255,7 +254,8 @@ def test_sample_matches_pointwise_reference(data):
 def test_sample_keys_are_integer_numerators(p):
     """Every key is an int x, and the points x / p**E with E = max(L, 0)
     carry the reference sampler's values in its order, on default, finer
-    and wider lattices, and on a lattice with L < 0 (E = 0)."""
+    and wider lattices, and on a lattice with L < 0 (E = 0, so the keys are
+    the points themselves)."""
     rng = random.Random(p)
     cases = [(psi(p, gamma=-2), (3, -1))]
     for _ in range(4):
@@ -265,9 +265,10 @@ def test_sample_keys_are_integer_numerators(p):
     for f, lattice in cases:
         sampled = sample(f, *lattice)
         assert sampled.values and all(type(x) is int for x in sampled.values)
-        denominator = p ** max(lattice[1], 0)
-        assert [(Fraction(x, denominator), v) for x, v in sampled.values.items()] \
-            == list(reference_sample(f, *lattice).values.items())
+        points = lattice_points(sampled)
+        assert list(points.items()) == list(reference_sample(f, *lattice).values.items())
+        if lattice[1] <= 0:
+            assert list(points) == list(sampled.values)
 
 
 @settings(max_examples=200, deadline=None)
