@@ -49,6 +49,11 @@ class SpanError(PadicError):
     """Target function does not lie in the stated span."""
 
 
+class SpecScaleError(PadicError):
+    """A stabilizer spec's gamma_0 lies more than one above the minimal scale
+    of f, so its translation group moves a term's support."""
+
+
 class ConfigError(PadicError):
     """Malformed run configuration."""
 

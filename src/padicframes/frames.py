@@ -43,6 +43,8 @@ mode.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -60,6 +62,7 @@ from .errors import (
     ModeMismatchError,
     NonGenericError,
     PrimeMismatchError,
+    SpecScaleError,
 )
 from .padic import (
     CosetRepresentative,
@@ -123,10 +126,52 @@ def orbit_index(gamma: int, n: Union[Fraction, int, str], J: int, spec: Stabiliz
     return idx
 
 
-def dilation_indices(spec: StabilizerSpec) -> list[int]:
-    """All admissible J values: units of Z/p**gamma_a in [1, p**gamma_a)."""
-    p = spec.prime
-    return [J for J in range(1, p**spec.gamma_a) if J % p != 0]
+class _IndexedSequence(abc.Sequence):
+    """An immutable sequence whose item k is computed from k on each read: a
+    subclass gives ``__len__`` and ``_item(k)`` for 0 <= k < len.  Negative
+    indices count from the end, a slice gives a tuple, and iteration reads
+    the items in index order."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        size = len(self)
+        if isinstance(k, slice):
+            return tuple(map(self._item, range(*k.indices(size))))
+        i = operator.index(k)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"index {k} out of range for length {size}")
+        return self._item(i)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+
+class _Units(_IndexedSequence):
+    """The units of Z/p**a in [1, p**a), ascending.  Each run of p integers
+    from a multiple of p holds p - 1 units, so unit k is
+    (k // (p - 1)) p + k % (p - 1) + 1, and there are (p - 1) p**(a - 1)."""
+
+    __slots__ = ("_p", "_a")
+
+    def __init__(self, p: int, a: int):
+        self._p, self._a = p, a
+
+    def __len__(self) -> int:
+        return (self._p - 1) * self._p ** (self._a - 1)
+
+    def _item(self, k: int) -> int:
+        run, offset = divmod(k, self._p - 1)
+        return run * self._p + offset + 1
+
+
+def dilation_indices(spec: StabilizerSpec) -> abc.Sequence[int]:
+    """All admissible J values: units of Z/p**gamma_a in [1, p**gamma_a),
+    ascending, as a sequence that computes each unit from its position, so
+    no list of all p**gamma_a - p**(gamma_a - 1) of them is built."""
+    return _Units(spec.prime, spec.gamma_a)
 
 
 def orbit_members(f: TestFunction, spec: StabilizerSpec, gamma: int, J: int,
@@ -270,7 +315,16 @@ def frame_bound(f: TestFunction, spec: StabilizerSpec):
 
 def _check_operands(f: TestFunction, spec: StabilizerSpec,
                     g: TestFunction) -> None:
-    """f, g and spec share one prime, and f and g one coefficient mode."""
+    """f, g and spec share one prime, f and g one coefficient mode, and
+    spec.gamma_0 is at most f's minimal scale + 1.
+
+    Above that bound the spec's b-ball p**(gamma_0 - 1) Z_p is wider than
+    the support of a minimal-scale term, so its group moves that support
+    and the orbit sum depends on the transversal; and a pair whose pins
+    reach above -gamma_0 would be solvable only for the J whose pins there
+    are 0.  Up to the bound, the one position above -gamma_0 that a pair
+    can touch is its own profile, where the canonical n has the digit 0.
+    """
     if spec.prime != f.prime or g.prime != f.prime:
         raise PrimeMismatchError(
             f"f, g and the stabilizer spec need one prime: "
@@ -278,6 +332,10 @@ def _check_operands(f: TestFunction, spec: StabilizerSpec,
     if g.mode != f.mode:
         raise ModeMismatchError(
             f"f and g need one coefficient mode: {f.mode}, {g.mode}")
+    if f.terms and spec.gamma_0 > f.gamma_min() + 1:
+        raise SpecScaleError(
+            f"spec gamma_0 = {spec.gamma_0} exceeds the minimal scale of f + 1 "
+            f"= {f.gamma_min() + 1}")
 
 
 def orbit_energy_direct(f: TestFunction, spec: StabilizerSpec,
@@ -312,10 +370,13 @@ def _collision_leaves(p: int, k: int, profiles: Sequence[int],
     digit a pinned pair requires plus one spare digit, of weight
     p - |required|, standing for the rest, where only the unpinned pairs
     survive.  Positions hi + 1 .. top (top = -gamma_0) are read and pinned
-    by no pair and enter as the starting multiplicity.  An entry left with
-    a single pair i adds its multiplicity times the free digits of i up to
-    hi to ``counts[i]``.  All cells of a leaf have the same alive pairs and
-    the same digit at their profiles, hence the same energy.
+    by no pair and enter as the starting multiplicity.  The canonical n has
+    no digit above top, so a position above top takes the digit 0 alone;
+    the caller's bound gamma_0 <= gamma_min + 1 leaves at most the position
+    hi = top + 1 there, which no pair pins.  An entry left with a single
+    pair i adds its multiplicity times the free digits of i up to
+    min(hi, top) to ``counts[i]``.  All cells of a leaf have the same alive
+    pairs and the same digit at their profiles, hence the same energy.
 
     Every leaf sits at position hi + 1 and each level keeps its children in
     branch order, so the leaves come in the order of a depth-first walk of
@@ -326,23 +387,29 @@ def _collision_leaves(p: int, k: int, profiles: Sequence[int],
     lo = min(profiles) - k
     # pair i pins the digits of n below its profile to those of pins[i] p**lo
     pins = [b * p ** (prof - k - lo) for prof, b in zip(profiles, bases)]
-    frontier = [(tuple(range(len(bases))), 0, p ** (top - hi))]
+    free_top = min(hi, top)
+    frontier = [(tuple(range(len(bases))), 0, p ** max(top - hi, 0))]
     unit = 1
     for pos in range(lo, hi + 1):
         level = []
         for alive, n, mult in frontier:
             cons = {i: pins[i] // unit % p for i in alive if pos < profiles[i]}
-            digits = range(p) if any(profiles[i] == pos for i in alive) \
-                else sorted(set(cons.values()))
+            if pos > top:
+                digits = [0]
+            elif any(profiles[i] == pos for i in alive):
+                digits = range(p)
+            else:
+                digits = sorted(set(cons.values()))
             branches = [(d, 1) for d in digits]
-            if len(digits) < p and len(cons) < len(alive):
+            if len(digits) < p and len(cons) < len(alive) and pos <= top:
                 spare = next(d for d in range(p) if d not in digits)
                 branches.append((spare, p - len(digits)))
             for d, weight in branches:
                 kept = tuple(i for i in alive if cons.get(i, d) == d)
                 if len(kept) == 1:
                     i = kept[0]
-                    counts[i] += mult * weight * p ** (hi - max(pos, profiles[i] - 1))
+                    free = max(free_top - max(pos, profiles[i] - 1), 0)
+                    counts[i] += mult * weight * p ** free
                 else:
                     level.append((kept, n + d * unit, mult * weight))
         frontier = level
@@ -357,7 +424,9 @@ def orbit_energy_grouped(f: TestFunction, spec: StabilizerSpec,
     Every orbit index that carries exactly one term wf of f onto a term wg
     of g contributes |C_wf|^2 |C_wg|^2, whatever the index, so such indices
     are only counted.  A (gamma, J mod p) group with a single pair is solved
-    by p**(wf.gamma - gamma_0 + 1) translations for each of the
+    by p**(wf.gamma - gamma_0 + 1) translations (gamma_0 <= gamma_min + 1
+    keeps the exponent >= 0; at 0 the one translation has the digit 0 at
+    the profile) for each of the
     p**(gamma_a - 1) values of J in the residue class, so it contributes
     exactly p**(gamma_a - gamma_0 + wf.gamma) |C_wf|^2 |C_wg|^2, which is
     its share of frame_bound * ||g||^2.

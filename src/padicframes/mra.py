@@ -8,12 +8,15 @@ spans at exponents gamma and gamma' are orthogonal once |gamma - gamma'|
 exceeds the scale spread of the mother function, and one p-power dilation
 carries the generator set at gamma bijectively onto the one at gamma + 1.
 
-Both exact kernels enumerate only nonzero work: the basis is orthonormal,
-so cross-Grams are accumulated over shared wavelet indices only, and span
-membership reduces sparse generator columns one at a time, keeping a greedy
-column basis and stopping once it has full row rank.  The generators
-themselves come from ``frames.orbit_members``, one call per dilation J along
-the translation grid.  Both checks use the covariance of the orbit under
+Every answer builds only the members it reads.  The basis is orthonormal,
+so a Gram whose two exponents differ by no difference of f's term scales is
+exactly zero, decided from the scales alone, and any other cross-Gram is
+accumulated over shared wavelet indices only.  The generators of a span
+come from ``frames.orbit_members``, one call per dilation J along the
+translation grid, made the first time a generator of that J is read
+(``SpanGenerators``).  Span membership reduces sparse generator columns one
+at a time, keeping a greedy column basis, and stops reading generators once
+the target is expressed.  Both checks use the covariance of the orbit under
 the group: a Gram block is decided by the n = 0 members of the larger
 exponent, and the scaling relation carries the coefficients found at gamma
 over to the generators at gamma + 1, building only those with a nonzero
@@ -38,8 +41,8 @@ from typing import Iterator, Optional, Sequence
 
 from .affine import StabilizerSpec, act_on_function, affine
 from .cyclotomic import CycloNumber
-from .errors import ModeMismatchError, SpanError
-from .frames import dilation_indices, orbit_members
+from .errors import ModeMismatchError, PrimeMismatchError, SpanError
+from .frames import _IndexedSequence, dilation_indices, orbit_members
 from .padic import CosetRepresentative, digit_grid, rep_mod
 from .wavelets import EXACT, Coeff, TestFunction, WaveletIndex
 
@@ -60,16 +63,59 @@ def scaling_shift_gram(p: int, shifts: Sequence) -> list[list[Fraction]]:
             for ri in residues]
 
 
+class SpanGenerators(_IndexedSequence):
+    """The orbit members (p**gamma J, p**gamma J n) f of one span, J outer
+    and n in grid order: generator k has J = ``dilation_indices(spec)[k //
+    T]`` and n = ``translations[k % T]``, with T the grid size.
+
+    The length is arithmetic.  Reading generator k builds the T members of
+    its J by one ``orbit_members`` call over the whole grid, once, and
+    keeps them; a J never read is never built.  Equality is by members, in
+    order, with a tuple or another ``SpanGenerators``.  Every member takes
+    f's coefficient mode, so ``mode`` is known before any member is built.
+    """
+
+    __slots__ = ("_f", "_spec", "_gamma", "_translations", "_dilations", "_blocks")
+
+    def __init__(self, f: TestFunction, spec: StabilizerSpec, gamma: int,
+                 translations: tuple[CosetRepresentative, ...]):
+        self._f, self._spec, self._gamma = f, spec, gamma
+        self._translations = translations
+        self._dilations = dilation_indices(spec)
+        self._blocks: dict[int, list[TestFunction]] = {}
+
+    @property
+    def mode(self) -> str:
+        return self._f.mode
+
+    def __len__(self) -> int:
+        return len(self._dilations) * len(self._translations)
+
+    def _item(self, k: int) -> TestFunction:
+        block, offset = divmod(k, len(self._translations))
+        members = self._blocks.get(block)
+        if members is None:
+            members = self._blocks[block] = orbit_members(
+                self._f, self._spec, self._gamma, self._dilations[block],
+                self._translations)
+        return members[offset]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, SpanGenerators)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class SpanProbe:
     """Generators of the span of orbit members at one dilation exponent, and
-    the translation grid they run over: generator k has J =
-    ``dilation_indices(spec)[k // T]`` and n = ``translations[k % T]``, with
-    T the grid size."""
+    the translation grid they run over (see ``SpanGenerators``)."""
 
     gamma: int
     truncation: int
-    generators: tuple[TestFunction, ...]
+    generators: SpanGenerators
     translations: tuple[CosetRepresentative, ...]
 
 
@@ -82,28 +128,21 @@ def _translations(p: int, spec: StabilizerSpec,
         yield CosetRepresentative(p, num, mod_exp, _den_exponent=truncation)
 
 
-def _members(f: TestFunction, spec: StabilizerSpec, gamma: int,
-             translations: Sequence[CosetRepresentative]) -> list[TestFunction]:
-    """Orbit members at gamma, J outer and n in the given order, one
-    ``orbit_members`` call per J."""
-    return [member for J in dilation_indices(spec)
-            for member in orbit_members(f, spec, gamma, J, translations)]
-
-
 def span_probe(f: TestFunction, spec: StabilizerSpec, gamma: int,
                truncation: int) -> SpanProbe:
     """Orbit members (p**gamma J, p**gamma J n) f over all J and all n with
     digit positions down to -truncation, J outer and n in ``digit_grid``
-    order.  The translation grid is built once and each J takes one
-    ``orbit_members`` call, so the members of one J share their target
-    wavelet indices and phased coefficients."""
+    order.  The translation grid is built once; the members are built only
+    as they are read, each J by one ``orbit_members`` call, so the members
+    of one J share their target wavelet indices and phased coefficients."""
     translations = tuple(_translations(f.prime, spec, truncation))
-    return SpanProbe(gamma, truncation, tuple(_members(f, spec, gamma, translations)),
+    return SpanProbe(gamma, truncation, SpanGenerators(f, spec, gamma, translations),
                      translations)
 
 
-def _require_exact(*functions: TestFunction) -> None:
-    """Refuse float coefficients: the checks below decide in Q(zeta_p)."""
+def _require_exact(*functions) -> None:
+    """Refuse float coefficients: the checks below decide in Q(zeta_p).
+    Each argument is a function or ``SpanGenerators``; only ``mode`` is read."""
     if any(g.mode != EXACT for g in functions):
         raise ModeMismatchError("span solving works on exact coefficients")
 
@@ -144,7 +183,16 @@ def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
     truncated translation grid, in that slot order; orthogonal means every
     entry is exactly zero, and ``entries`` counts the full N1 * N2 matrix.
 
-    Entries are decided from one member per J on the larger exponent.
+    A block is first decided from f's term scales.  The action of
+    p**gamma J moves a term at scale gamma_i to scale gamma_i - gamma, so
+    the members at lo <= hi have terms only at scales gamma_i - lo and
+    gamma_k - hi, and a shared wavelet index needs gamma_k - gamma_i =
+    hi - lo.  So when no two term scales of f differ by exactly hi - lo,
+    every entry is exactly zero, and the summary comes from the scales and
+    the grid size alone, with no member built:
+    N = phi(p**gamma_a) * p**max(truncation + 1 - gamma_0, 0).
+
+    Otherwise entries are decided from one member per J on the larger exponent.
     Write lo <= hi for the two exponents, and take members
     u = (p**lo J_lo, p**lo J_lo n_lo) f and v = (p**hi J_hi, p**hi J_hi n_hi) f.
     The translation h = (1, -p**hi J_hi n_hi) is unitary, so
@@ -161,9 +209,15 @@ def wavelet_space_gram(f: TestFunction, spec: StabilizerSpec,
     (``cross_gram_rows``).
     """
     _require_exact(f)
+    if spec.prime != f.prime:
+        raise PrimeMismatchError("f and the stabilizer spec need one prime")
     lo, hi = sorted((gamma1, gamma2))
+    scales = {idx.gamma for idx in f.terms}
+    if not any(gamma + hi - lo in scales for gamma in scales):
+        grid = f.prime ** max(truncation + 1 - spec.gamma_0, 0)
+        return GramSummary(True, 0.0, (len(dilation_indices(spec)) * grid) ** 2)
     full = span_probe(f, spec, lo, truncation).generators
-    reps = _members(f, spec, hi, [next(_translations(f.prime, spec, truncation))])
+    reps = SpanGenerators(f, spec, hi, (next(_translations(f.prime, spec, truncation)),))
     max_abs = 0.0
     orthogonal = True
     for row in cross_gram_rows(*((reps, full) if gamma1 > gamma2 else (full, reps))):
@@ -191,41 +245,58 @@ def solve_in_span(generators: Sequence[TestFunction],
     zero at every earlier pivot, so one pass clears them all.  If something
     is left, the column is independent of the columns before it: it is
     kept, scaled so its pivot entry is one, together with the multipliers
-    that reduced it.  The kept columns are the greedy column basis.  Once
-    their number equals the number of distinct wavelet indices the
-    generators touch, they span every column, and the pass stops.
+    that reduced it.  The kept columns are the greedy column basis.  While
+    there are as many kept vectors as wavelet indices among the columns read
+    so far, they span every column on those indices, so a column with no
+    new index is dependent and is not reduced.
 
-    The target is reduced the same way; a remainder means None.  Otherwise
-    its multipliers express it in the kept vectors, and one back
-    substitution through each kept vector's multipliers turns them into
-    coefficients of the kept generators.  Every other generator gets 0.
+    The target is reduced the same way, against each vector as it is kept,
+    and the pass stops reading generators once nothing of the target is
+    left.  That is the reduction a full pass would make: it runs in kept
+    order, so the multipliers found on the prefix are those of the full
+    pass, and every later kept vector would meet an empty residue and get
+    none.  A target with a remainder after the last generator gives None;
+    so a non-member reads every generator.  Otherwise its multipliers
+    express it in the kept vectors, and one back substitution through each
+    kept vector's multipliers turns them into coefficients of the kept
+    generators.  Every other generator gets 0.
 
     This is the list that Gauss-Jordan elimination over the columns in
     order returns: there column k is a pivot exactly when it is independent
     of the columns before it, which is the test above, and free columns get
     0 in both.  Coefficients on an independent set are unique, so the two
     lists are equal element for element.  The answer is still verified by
-    exact recombination, so a non-None answer is a certificate.
+    exact recombination, reading only the generators with a nonzero
+    coefficient, so a non-None answer is a certificate.  A float generator
+    anywhere is refused before any is read; ``SpanGenerators`` states its
+    mode without building a member.
     """
-    _require_exact(target, *generators)
-    zero = target.field.zero(target.prime)
-    rows = len({idx for g in generators for idx in g.terms})
+    # a SpanGenerators states its mode unbuilt; any other sequence is read whole
+    _require_exact(target, *([generators] if isinstance(generators, SpanGenerators)
+                             else generators))
     # (pivot index, other entries, column, pivot entry**-1, multipliers)
     kept: list[tuple] = []
-    for col, g in enumerate(generators):
-        if len(kept) == rows:
+    residue, multipliers = dict(target.terms), []
+    seen: set[WaveletIndex] = set()  # wavelet indices of the columns read so far
+    for col in range(len(generators)):
+        if not residue:
             break
-        residue, multipliers = _reduce(kept, g.terms)
-        if residue:
-            pivot, entry = next(iter(residue.items()))
+        terms = generators[col].terms
+        seen.update(terms)
+        if len(kept) == len(seen):  # the kept vectors span every column on seen
+            continue
+        rest, reducers = _reduce(kept, terms)
+        if rest:
+            pivot, entry = next(iter(rest.items()))
             inv = entry.inverse()
-            rest = [(idx, c * inv) for idx, c in residue.items() if idx != pivot]
-            kept.append((pivot, rest, col, inv, multipliers))
-    residue, multipliers = _reduce(kept, target.terms)
+            others = [(idx, c * inv) for idx, c in rest.items() if idx != pivot]
+            kept.append((pivot, others, col, inv, reducers))
+            residue, found = _reduce(kept, residue, start=len(kept) - 1)
+            multipliers += found
     if residue:
         return None
 
-    solution = [zero] * len(generators)
+    solution = [target.field.zero(target.prime)] * len(generators)
     weights = dict(multipliers)
     for i in reversed(range(len(kept))):
         weight = weights.pop(i, None)
@@ -239,13 +310,14 @@ def solve_in_span(generators: Sequence[TestFunction],
     return solution if _expresses(generators, solution, target) else None
 
 
-def _reduce(kept: Sequence[tuple], terms: dict[WaveletIndex, CycloNumber]
+def _reduce(kept: Sequence[tuple], terms: dict[WaveletIndex, CycloNumber], start: int = 0
             ) -> tuple[dict[WaveletIndex, CycloNumber], list[tuple[int, CycloNumber]]]:
-    """What is left of terms once each kept pivot is cleared in turn, and
-    the (kept position, multiplier) pairs that cleared them."""
+    """What is left of terms once each kept pivot from position start on is
+    cleared in turn, and the (kept position, multiplier) pairs that cleared
+    them."""
     residue = dict(terms)
     multipliers = []
-    for i, (pivot, rest, *_) in enumerate(kept):
+    for i, (pivot, rest, *_) in enumerate(kept[start:], start):
         m = residue.pop(pivot, None)
         if m is None:
             continue
@@ -266,12 +338,13 @@ def _reduce(kept: Sequence[tuple], terms: dict[WaveletIndex, CycloNumber]
 def _expresses(generators: Sequence[TestFunction],
                coefficients: Sequence[CycloNumber], target: TestFunction) -> bool:
     """Whether the exact sum of coefficients[k] * generators[k] is target,
-    compared term by term without building the sum as a function."""
+    compared term by term without building the sum as a function.  Only
+    the generators with a nonzero coefficient are read."""
     combined: dict[WaveletIndex, CycloNumber] = {}
-    for coeff, gen in zip(coefficients, generators):
+    for k, coeff in enumerate(coefficients):
         if coeff.is_zero():
             continue
-        for idx, c in gen.terms.items():
+        for idx, c in generators[k].terms.items():
             term = c * coeff
             combined[idx] = combined[idx] + term if idx in combined else term
     return {idx: c for idx, c in combined.items() if c} == target.terms

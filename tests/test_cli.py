@@ -138,6 +138,25 @@ class TestAnalysisCommands:
         assert json.loads(proc.stdout)["results"]["count"] == _ORBIT_CAP
         assert elapsed < 2
 
+    def test_deep_stabilizer_orbit_stays_small(self, tmp_path):
+        """p = 3, terms (0, 0, 1) and (0, 1/3**20, 1): gamma_a = 21, so
+        there are 2 * 3**20 dilations J, of which the report reads at most
+        200.  In a child capped at 512 MB of address space the run exits 0
+        in under 2 s."""
+        term = {**one_term(0)[0], "n": f"1/{3**20}"}
+        cfg = write_config(tmp_path, function=one_term(0) + [term])
+        spec = stabilizer_spec(load_config(json.loads(Path(cfg).read_text())).function)
+        assert spec.gamma_a == 21
+        cap = 512 * 2**20
+        start = time.perf_counter()
+        proc = run_child_cli(
+            cfg, "orbit",
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["count"] == _ORBIT_CAP
+        assert elapsed < 2
+
     def test_orbit_above_the_digit_window(self, tmp_path, capsys):
         """gamma_0 = 3 leaves no translation digit between -1 and
         1 - gamma_0, so the grid is n = 0 alone."""

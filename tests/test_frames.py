@@ -3,6 +3,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,13 +34,15 @@ from padicframes.affine import (
     in_stabilizer,
     stabilizer_spec,
 )
-from padicframes.cyclotomic import CycloNumber
+from padicframes.cyclotomic import CycloNumber, root_of_unity
 from padicframes.errors import (
     EmptyFunctionError,
     ModeMismatchError,
     NonGenericError,
     PrimeMismatchError,
+    SpecScaleError,
 )
+from padicframes import frames
 from padicframes.frames import (
     OrbitIndex,
     _collision_leaves,
@@ -214,6 +217,35 @@ def test_orbit_members_on_a_full_grid(p, mode):
         for gamma in (-1, 2):
             assert_same_members(orbit_members(f, spec, gamma, J, grid),
                                 oracle_members(f, spec, gamma, J, grid))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dilation_indices_equal_the_unit_list(p):
+    """For gamma_a up to 4: the units as the list of J in [1, p**gamma_a)
+    prime to p, in length, ascending iteration, every index from both
+    ends, slices and IndexError."""
+    for gamma_a in range(1, 5):
+        units = dilation_indices(orbit_spec(p, gamma_a, 0))
+        listed = [J for J in range(1, p**gamma_a) if J % p != 0]
+        assert len(units) == len(listed) == (p - 1) * p ** (gamma_a - 1)
+        assert list(units) == listed
+        assert [units[k] for k in range(-len(listed), len(listed))] == listed + listed
+        for cut in (slice(None), slice(1, None, 2), slice(None, None, -1),
+                    slice(-3, None), slice(2, 1), slice(len(listed) + 5, None)):
+            assert units[cut] == tuple(listed[cut])
+        for k in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                units[k]
+
+
+def test_dilation_indices_of_a_deep_spec_are_arithmetic():
+    """gamma_a = 40 at p = 3: length and items from positions, with no
+    list of the 2 * 3**39 units."""
+    units = dilation_indices(orbit_spec(3, 40, 0))
+    assert len(units) == 2 * 3**39
+    assert (units[0], units[1], units[2], units[-1]) == (1, 2, 4, 3**40 - 1)
+    assert units[3**39] == 3**40 // 2 + 1  # the unit just above the middle
+    assert list(itertools.islice(units, 6)) == [1, 2, 4, 5, 7, 8]
 
 
 def test_orbit_element_is_the_one_member_case():
@@ -675,7 +707,10 @@ def test_collision_leaves_equal_cell_by_cell_oracle(data):
     counts are the single-alive cells per pair, and each leaf class (alive
     pairs, the digits at their profiles) holds as many multi-alive cells as
     its leaves' summed multiplicity.  Each leaf's n, with zeros above its
-    highest digit, is itself a cell of its class."""
+    highest digit, is itself a cell of its class.  top runs from one below
+    the highest profile (a spec with gamma_0 one above a term's scale,
+    where that profile's digit is 0) to one above it, and every count and
+    multiplicity is an int."""
     p = data.draw(st.sampled_from((2, 3, 5)))
     k = data.draw(st.integers(0, 2))
     pairs = data.draw(st.integers(2, 4))
@@ -684,7 +719,8 @@ def test_collision_leaves_equal_cell_by_cell_oracle(data):
     choices = data.draw(st.lists(st.integers(0, p**k - 1), min_size=1, max_size=2))
     bases = data.draw(st.lists(st.sampled_from(choices + [0]),
                                min_size=pairs, max_size=pairs))
-    top = max(profiles) + data.draw(st.integers(0, 1))
+    top = max(profiles) + data.draw(st.integers(-1, 1))
+    hi = max(top, max(profiles))
     lo = min(profiles) - k
     assume(p ** (top - lo + 1) <= 5**6)
     pins = pinned_digits(p, k, profiles, bases)
@@ -698,8 +734,8 @@ def test_collision_leaves_equal_cell_by_cell_oracle(data):
 
     single = [0] * pairs
     multi = Counter()
-    for cell in itertools.product(range(p), repeat=top - lo + 1):
-        alive, digits = cell_class(cell)
+    for free in itertools.product(range(p), repeat=top - lo + 1):
+        alive, digits = cell_class(free + (0,) * (hi - top))
         if len(alive) == 1:
             single[alive[0]] += 1
         elif alive:
@@ -708,13 +744,83 @@ def test_collision_leaves_equal_cell_by_cell_oracle(data):
     leaves, walk_lo = _collision_leaves(p, k, profiles, bases, top, counts)
     assert walk_lo == lo
     assert counts == single
+    assert all(type(c) is int for c in counts)
+    assert all(type(mult) is int for _, _, mult in leaves)
     classes = Counter()
     for alive, n, mult in leaves:
         digits = fraction_digit_expansion(n * ppow(p, lo), p)
-        key = cell_class(tuple(digits.get(pos, 0) for pos in range(lo, top + 1)))
+        assert all(pos <= top for pos in digits)
+        key = cell_class(tuple(digits.get(pos, 0) for pos in range(lo, hi + 1)))
         assert key[0] == alive and len(alive) >= 2
         classes[key] += mult
     assert classes == multi
+
+
+def assert_exact_integers(value):
+    """An exact energy built from integers only: a float count would leave
+    a float numerator or denominator behind."""
+    assert type(value) is CycloNumber
+    assert all(type(x) is int for x in (*value._num, value._den))
+
+
+def checked_walk(*args):
+    """``_collision_leaves`` with its counts and multiplicities checked to
+    be ints."""
+    leaves, lo = _collision_leaves(*args)
+    assert all(type(c) is int for c in args[-1])
+    assert all(type(mult) is int for _, _, mult in leaves)
+    return leaves, lo
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_grouped_equals_direct_on_raised_specs(data):
+    """Specs above f's own: gamma_0 raised by one, gamma_a raised, or both.
+    A term at scale gamma_0 - 1 then reads a digit above -gamma_0, which
+    the canonical translation holds at 0.  The grouped energy equals the
+    direct one exactly, on colliding and on plain draws, and is built from
+    integer counts only.  gamma_0 raised by two is refused by both."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    if data.draw(st.booleans()):
+        f, g = data.draw(colliding_frame_cases(p, EXACT))
+    else:
+        f = data.draw(expansions(p, EXACT, scales=(-1, 1)))
+        g = data.draw(st.one_of(st.just(f), expansions(p, EXACT, scales=(-1, 1))))
+    own = spec_of(f)
+    raise_0 = data.draw(st.integers(0, 1))
+    raise_a = data.draw(st.integers(1 - raise_0, 2 if p < 5 else 1))
+    spec = dataclasses.replace(own, gamma_a=own.gamma_a + raise_a,
+                               gamma_0=own.gamma_0 + raise_0)
+    assume(index_bound(f, spec, g) <= ORACLE_INDEX_CAP)
+    with mock.patch.object(frames, "_collision_leaves", checked_walk):
+        grouped = orbit_energy_grouped(f, spec, g)
+    assert grouped == orbit_energy_direct(f, spec, g)
+    assert_exact_integers(grouped)
+    too_high = dataclasses.replace(spec, gamma_0=own.gamma_0 + 2)
+    for method in ("grouped", "direct"):
+        with pytest.raises(SpecScaleError, match="minimal scale"):
+            verify_tight_frame(f, too_high, g, method=method)
+
+
+def test_raised_spec_that_fixes_f_gives_zero_residuals():
+    """p = 3, f = psi(0, 0, 2) + 2 zeta psi(0, 2/3, 2) under the spec
+    (gamma_a, gamma_0) = (3, 1) instead of its own (2, 0).  That group
+    still fixes f up to phase, so both energies are A ||g||^2 on every
+    probe (the walk used to count a third of a cell here)."""
+    p = 3
+    f = TestFunction(p, EXACT, {
+        wavelet_index(0, 0, 2, p): CycloNumber.one(p),
+        wavelet_index(0, Fraction(2, 3), 2, p): root_of_unity(1, p).scale(2)})
+    own = spec_of(f)
+    assert (own.gamma_a, own.gamma_0) == (2, 0)
+    spec = dataclasses.replace(own, gamma_a=3, gamma_0=1)
+    rng = random.Random(16)
+    probes = [f] + [random_test_function(rng, p, max_terms=3, gamma_range=(-1, 1),
+                                         max_digits=1) for _ in range(12)]
+    assert any(has_collision(f, g) for g in probes)
+    for g in probes:
+        for method in ("grouped", "direct"):
+            assert verify_tight_frame(f, spec, g, method=method).is_zero()
 
 
 def test_thousand_digit_translation_gives_exact_zero():

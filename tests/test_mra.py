@@ -17,10 +17,11 @@ from orbit_strategies import (
 from padicframes import mra
 from padicframes.affine import act_on_function, affine, stabilizer_spec
 from padicframes.cyclotomic import CycloNumber, root_of_unity
-from padicframes.errors import ModeMismatchError, SpanError
+from padicframes.errors import ModeMismatchError, PrimeMismatchError, SpanError
 from padicframes.frames import OrbitIndex, dilation_indices
 from padicframes.mra import (
     GramSummary,
+    SpanGenerators,
     SpanProbe,
     cross_gram_rows,
     scaling_relation_check,
@@ -47,6 +48,13 @@ from padicframes.wavelets import (
 def two_scale_function(p=3):
     return TestFunction.single(wavelet_index(0, 0, 1, p)) \
         + TestFunction.single(wavelet_index(1, 0, 1, p))
+
+
+def gapped_function(p=3):
+    """Scales 0 and 2: spread 2, and distance 1 is no scale difference."""
+    return TestFunction.single(wavelet_index(0, 0, 1, p)) \
+        + TestFunction.single(wavelet_index(2, Fraction(1, p), p - 1, p)).scaled(
+            CycloNumber.from_rational(2, p))
 
 
 class TestScalingShiftGram:
@@ -126,6 +134,15 @@ class TestWaveletSpaceGram:
         assert not summary.orthogonal
         assert summary.max_abs_entry > 0.5  # the shared term contributes 1
 
+    def test_mixed_primes_refused_at_every_distance(self):
+        """A spec of another prime is refused whether the block needs
+        members (distance 1) or is decided from the scales (distance 5)."""
+        f = two_scale_function(3)
+        other = stabilizer_spec(two_scale_function(5))
+        for distance in (1, 5):
+            with pytest.raises(PrimeMismatchError):
+                wavelet_space_gram(f, other, 0, distance, truncation=1)
+
     def test_summary_counts_entries(self):
         f = two_scale_function()
         spec = stabilizer_spec(f)
@@ -171,19 +188,23 @@ class Untouchable(CycloNumber):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_solve_stops_at_full_row_rank(p):
-    """Once the kept columns reach the row count, later columns are not
-    touched: an untouchable column appended to a full-rank list still
-    solves, and the same column placed first raises."""
+    """Once the kept columns span every wavelet index read so far, a column
+    with no new index is not reduced: an untouchable column appended to a
+    full-rank list leaves a non-member's None, and the same column placed
+    first raises.  A member is expressed before the column is read."""
     a, b = wavelet_index(0, 0, 1, p), wavelet_index(1, Fraction(1, p), 1, p)
     one, c = CycloNumber.one(p), CycloNumber.from_rational(3, p) + root_of_unity(1, p)
     gens = [TestFunction(p, EXACT, {a: one, b: c}), TestFunction.single(b)]
     poison = TestFunction(p, EXACT, {a: Untouchable(p, (2,) + (0,) * (p - 2), _den=1)})
     target = TestFunction.single(a).scaled(c) + TestFunction.single(b)
+    outsider = TestFunction.single(wavelet_index(2, 0, 1, p))
     expected = solve_in_span(gens, target)
     assert expected is not None
     assert solve_in_span(gens + [poison], target) == expected + [CycloNumber.zero(p)]
-    with pytest.raises(AssertionError, match="untouchable"):
-        solve_in_span([poison] + gens, target)
+    assert solve_in_span(gens + [poison], outsider) is None
+    for target_ in (target, outsider):
+        with pytest.raises(AssertionError, match="untouchable"):
+            solve_in_span([poison] + gens, target_)
 
 
 class TestScalingRelation:
@@ -470,6 +491,83 @@ def test_solve_equals_dense_oracle(name, f, truncation):
     assert solve_in_span(gens, zero_target) == [CycloNumber.zero(p)] * len(gens)
 
 
+class PrefixOnly(SpanGenerators):
+    """Span generators that raise on any read at or past ``limit``."""
+
+    def _item(self, k):
+        if k >= self.limit:
+            raise AssertionError(f"generator {k} read past the prefix of {self.limit}")
+        return super()._item(k)
+
+
+def prefix_only(probe, f, spec, limit):
+    gens = PrefixOnly(f, spec, probe.gamma, probe.translations)
+    gens.limit = limit
+    return gens
+
+
+def expressing_prefix(gens, target):
+    """The fewest leading generators whose span holds target, by bisection
+    on dense_solve (membership in the span of a prefix only grows)."""
+    lo, hi = 0, len(gens)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dense_solve(list(gens[:mid]), target) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("p,truncation", [(2, 1), (3, 1), (5, 0)])
+def test_solve_reads_only_the_expressing_prefix(p, truncation):
+    """The solve stops at the first prefix that expresses the target: a
+    generator sequence that raises on any read past it still gives
+    dense_solve's list on the whole span, and one that raises on the
+    prefix's last generator raises.  A non-member reads to the end."""
+    f = two_scale_function(p)
+    spec = stabilizer_spec(f)
+    probe = span_probe(f, spec, 0, truncation)
+    gens = tuple(probe.generators)
+    rng = random.Random(31 * p)
+    picks = [(1, len(gens) // 2), (0, len(gens) - 1), (len(gens) // 3,)]
+    for pick in picks:
+        target = TestFunction(p, EXACT, {})
+        for k in pick:
+            target = target + gens[k].scaled(random_cyclo(rng, p))
+        limit = expressing_prefix(gens, target)
+        assert 0 < limit <= max(pick) + 1
+        expected = dense_solve(list(gens), target)
+        assert expected is not None
+        assert solve_in_span(prefix_only(probe, f, spec, limit), target) == expected
+        with pytest.raises(AssertionError, match="past the prefix"):
+            solve_in_span(prefix_only(probe, f, spec, limit - 1), target)
+    outsider = TestFunction.single(wavelet_index(-2, Fraction(1, p * p), 1, p))
+    assert solve_in_span(prefix_only(probe, f, spec, len(gens)), outsider) is None
+    with pytest.raises(AssertionError, match="past the prefix"):
+        solve_in_span(prefix_only(probe, f, spec, len(gens) - 1), outsider)
+    empty = TestFunction(p, EXACT, {})
+    assert solve_in_span(prefix_only(probe, f, spec, 0), empty) \
+        == [CycloNumber.zero(p)] * len(gens)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_float_generator_past_the_expressing_prefix_is_refused(p):
+    """The mode contract does not stop with the solve: a float generator at
+    the end of a list whose first generator already expresses the target
+    raises, and so does a float copy of the lazy span."""
+    f = two_scale_function(p)
+    spec = stabilizer_spec(f)
+    gens = list(span_probe(f, spec, 0, 1).generators)
+    assert solve_in_span(gens, gens[0]) is not None
+    with pytest.raises(ModeMismatchError, match="exact coefficients"):
+        solve_in_span(gens + [as_float(gens[-1])], gens[0])
+    float_span = span_probe(as_float(f), spec, 0, 1).generators
+    assert float_span.mode == FLOAT
+    with pytest.raises(ModeMismatchError, match="exact coefficients"):
+        solve_in_span(float_span, gens[0])
+
+
 # ---------------------------------------------------------------------------
 # Slow oracle: span_probe building one AffineElement per member
 # ---------------------------------------------------------------------------
@@ -527,6 +625,41 @@ def test_span_probe_equals_group_action(data):
                       for k in range(len(probe.generators))]
 
 
+@pytest.mark.parametrize("p,gamma,truncation", [(2, -1, 2), (3, 0, 1), (5, 1, 0)])
+def test_span_generators_sequence_equals_oracle(monkeypatch, p, gamma, truncation):
+    """The lazy generators as a sequence: arithmetic length before any
+    member is built, indexing (negative too), slices, IndexError and
+    equality with the oracle's members, each J built by one orbit_members
+    call over the whole grid on its first read and never again."""
+    f = two_scale_function(p) + TestFunction.single(wavelet_index(1, Fraction(1, p), 1, p))
+    spec = stabilizer_spec(f)
+    _, members = span_probe_oracle(f, spec, gamma, truncation)
+    calls = []
+    orbit_members_ = mra.orbit_members
+    monkeypatch.setattr(mra, "orbit_members", lambda f_, spec_, gamma_, J, translations: (
+        calls.append((J, len(translations))) or orbit_members_(f_, spec_, gamma_, J, translations)))
+    probe = span_probe(f, spec, gamma, truncation)
+    gens, T = probe.generators, len(probe.translations)
+    Js = dilation_indices(spec)
+    assert len(gens) == len(members) == len(Js) * T and len(Js) >= 2 and T >= 2
+    assert calls == []
+    assert gens[-1] == members[-1] and gens[1] == members[1]
+    assert calls == [(Js[-1], T), (Js[0], T)]
+    assert gens[-T] == members[-T] and gens[T - 1] == members[T - 1]
+    assert len(calls) == 2
+    for index in (len(gens), -len(gens) - 1):
+        with pytest.raises(IndexError):
+            gens[index]
+    assert gens[1:T + 2] == tuple(members[1:T + 2])
+    assert gens[::-T] == tuple(members[::-T])
+    assert gens[len(gens):] == ()
+    assert gens == tuple(members) and tuple(members) == gens
+    assert list(gens) == members and gens != members  # a tuple, not a list
+    assert sorted(calls) == [(J, T) for J in Js]
+    assert gens == span_probe(f, spec, gamma, truncation).generators
+    assert gens != span_probe(f, spec, gamma + 1, truncation).generators
+
+
 # ---------------------------------------------------------------------------
 # Covariant kernels against the full Gram and the two-solve scaling check
 # ---------------------------------------------------------------------------
@@ -548,6 +681,7 @@ def covariant_inputs():
             draw = random_generic_function if seed % 2 == 0 else random_test_function
             yield f"p{p}-seed{seed}", draw(rng, p, **kwargs), truncations
         yield f"p{p}-two-scale", two_scale_function(p), truncations
+        yield f"p{p}-gapped", gapped_function(p), truncations
 
 
 COVARIANT_INPUTS = list(covariant_inputs())
@@ -579,6 +713,20 @@ def test_gram_oracle_cases_include_nonzero_blocks():
         overlapping += sum(not wavelet_space_gram(f, spec, g1, g2, truncations[0]).orthogonal
                            for g1, g2 in gram_pairs(f))
     assert overlapping >= len(COVARIANT_INPUTS)
+
+
+def test_gram_oracle_cases_include_gaps_within_the_spread():
+    """Some differential cases have a distance up to the scale spread that
+    is no difference of term scales, at every prime: blocks the scales
+    decide although the spread alone would not."""
+    primes = set()
+    for _, f, _ in COVARIANT_INPUTS:
+        scales = {idx.gamma for idx in f.terms}
+        differences = {b - a for a in scales for b in scales}
+        if any(abs(g1 - g2) <= f.scale_spread() and abs(g1 - g2) not in differences
+               for g1, g2 in gram_pairs(f)):
+            primes.add(f.prime)
+    assert primes == set(COVARIANT_DRAWS)
 
 
 @pytest.mark.parametrize("name,f,truncation", ORACLE_INPUTS, ids=ORACLE_IDS)
@@ -629,18 +777,35 @@ class TestCovariantMechanism:
 
     @pytest.mark.parametrize("gamma1,gamma2", [(0, 2), (2, 0), (-1, 1)])
     def test_one_probe_and_one_member_per_J(self, monkeypatch, gamma1, gamma2):
+        """f has term scales -1, -1 and 0.  At distance 2, no difference of
+        them, the block is decided from the scales: no span probe and no
+        member, and the summary equals the full Gram's.  With the higher
+        exponent one step closer, distance 1 is a difference: one span probe,
+        at the lower exponent, whose generators take one orbit_members call
+        per J over the grid, and one n = 0 member per J at the higher, and
+        nothing else."""
         f = random_generic_function(random.Random(5), 3, max_terms=3,
                                     gamma_range=(-1, 1), max_digits=1)
         spec = stabilizer_spec(f)
-        lo, hi = sorted((gamma1, gamma2))
+        assert sorted(idx.gamma for idx in f.terms) == [-1, -1, 0]
         grid = len(list(fraction_digit_grid(3, -1, 1 - spec.gamma_0)))
+        far_oracle = full_gram(f, spec, gamma1, gamma2, 1)
         probes, calls = self.record(monkeypatch)
-        wavelet_space_gram(f, spec, gamma1, gamma2, 1)
+        far = wavelet_space_gram(f, spec, gamma1, gamma2, 1)
+        assert (probes, calls) == ([], [])
+        assert far == far_oracle and far.orthogonal
+        assert far.entries == (len(dilation_indices(spec)) * grid) ** 2
+
+        near = (gamma1, gamma2 - 1) if gamma1 < gamma2 else (gamma1 - 1, gamma2)
+        lo, hi = sorted(near)
+        assert hi - lo == 1
+        wavelet_space_gram(f, spec, *near, 1)
         assert probes == [lo]
         assert [c for c in calls if c[0] == hi] \
             == [(hi, J, 1) for J in dilation_indices(spec)]
         assert [c for c in calls if c[0] == lo] \
             == [(lo, J, grid) for J in dilation_indices(spec)]
+        assert len(calls) == 2 * len(dilation_indices(spec))
 
     @staticmethod
     def mutate_next_span(monkeypatch, mutant, gamma, grid):
@@ -674,14 +839,16 @@ class TestCovariantMechanism:
         member = gens[0] + gens[3].scaled(root_of_unity(2, 3))
         dilated = act_on_function(affine(3, 0, 3), member)
         nonzero = sum(1 for c in solve_in_span(gens, member) if c)
-        honest = span_probe(f, spec, 1, 1).generators
+        # generators are built when read, so each span is read into a tuple
+        # while the orbit_members it is meant to show is in place
+        honest = tuple(span_probe(f, spec, 1, 1).generators)
         self.mutate_next_span(monkeypatch, mutant, 0, probe.translations)
-        mutated = span_probe(f, spec, 1, 1).generators
+        mutated = tuple(span_probe(f, spec, 1, 1).generators)
         assert mutated != honest
         if mutant == "rotated":
-            assert all(m in honest for m in mutated) and len(mutated) == len(honest)
+            assert sorted(map(honest.index, mutated)) == list(range(len(honest)))
         else:
-            assert mutated == gens
+            assert mutated == tuple(gens)
         assert (solve_in_span(mutated, dilated) is not None) is in_span
         probes, calls = self.record(monkeypatch)
         solves = []
